@@ -7,12 +7,16 @@
 // experiments live in the table*/fig*/ablation* binaries.
 #include <benchmark/benchmark.h>
 
+#include <exception>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <random>
 
 #include "queue/dary_heap.hpp"
 #include "queue/visitor_queue.hpp"
+#include "service/worker_pool.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/trace_writer.hpp"
 #include "util/hash.hpp"
@@ -140,6 +144,22 @@ struct tree_visitor {
   }
 };
 
+// The queue runs every traversal as a gang on a worker pool; the benches
+// share one, warmed by the first iteration. Wall time is the measure (each
+// bench sets UseRealTime): the calling thread only waits, so its CPU time
+// says nothing about throughput.
+asyncgt::service::worker_pool& bench_pool() {
+  static asyncgt::service::worker_pool pool;
+  return pool;
+}
+
+asyncgt::visitor_queue_config pooled(std::size_t threads) {
+  asyncgt::visitor_queue_config cfg;
+  cfg.num_threads = threads;
+  cfg.pool = &bench_pool();
+  return cfg;
+}
+
 void run_tree(std::uint64_t n, asyncgt::visitor_queue_config cfg,
               benchmark::State& state) {
   for (auto _ : state) {
@@ -148,30 +168,35 @@ void run_tree(std::uint64_t n, asyncgt::visitor_queue_config cfg,
     s.seen.assign(n, 0);
     asyncgt::visitor_queue<tree_visitor, tree_state> q(cfg);
     q.push(tree_visitor{0});
-    const auto stats = q.run(s);
-    benchmark::DoNotOptimize(stats.visits);
+    // Shared: the pool thread may still be inside set_value when the
+    // waiter wakes and the iteration ends.
+    auto visits = std::make_shared<std::promise<std::uint64_t>>();
+    auto done = visits->get_future();
+    q.run_async(s, [visits](asyncgt::queue_run_stats stats,
+                            std::exception_ptr) {
+      visits->set_value(stats.visits);
+    });
+    benchmark::DoNotOptimize(done.get());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 
 void BM_VisitorQueueTelemetryOff(benchmark::State& state) {
-  asyncgt::visitor_queue_config cfg;
-  cfg.num_threads = 4;
+  asyncgt::visitor_queue_config cfg = pooled(4);
   run_tree(static_cast<std::uint64_t>(state.range(0)), cfg, state);
 }
-BENCHMARK(BM_VisitorQueueTelemetryOff)->Arg(1 << 16);
+BENCHMARK(BM_VisitorQueueTelemetryOff)->Arg(1 << 16)->UseRealTime();
 
 void BM_VisitorQueueTelemetryOn(benchmark::State& state) {
   asyncgt::telemetry::metrics_registry registry(8);
   asyncgt::telemetry::trace_writer trace;
-  asyncgt::visitor_queue_config cfg;
-  cfg.num_threads = 4;
+  asyncgt::visitor_queue_config cfg = pooled(4);
   cfg.metrics = &registry;
   cfg.trace = &trace;
   run_tree(static_cast<std::uint64_t>(state.range(0)), cfg, state);
 }
-BENCHMARK(BM_VisitorQueueTelemetryOn)->Arg(1 << 16);
+BENCHMARK(BM_VisitorQueueTelemetryOn)->Arg(1 << 16)->UseRealTime();
 
 // --- Batched cross-thread delivery ------------------------------------------
 // Arg is the mailbox flush batch B: 1 reproduces the per-push delivery of the
@@ -181,15 +206,15 @@ BENCHMARK(BM_VisitorQueueTelemetryOn)->Arg(1 << 16);
 // queue_run_stats tells the same story (~B× fewer mutex acquisitions).
 
 void BM_VisitorQueueFlushBatch(benchmark::State& state) {
-  asyncgt::visitor_queue_config cfg;
-  cfg.num_threads = 4;
+  asyncgt::visitor_queue_config cfg = pooled(4);
   cfg.flush_batch = static_cast<std::size_t>(state.range(1));
   run_tree(static_cast<std::uint64_t>(state.range(0)), cfg, state);
 }
 BENCHMARK(BM_VisitorQueueFlushBatch)
     ->Args({1 << 16, 1})
     ->Args({1 << 16, 8})
-    ->Args({1 << 16, 64});
+    ->Args({1 << 16, 64})
+    ->UseRealTime();
 
 void BM_RegistryCounterAdd(benchmark::State& state) {
   asyncgt::telemetry::metrics_registry registry(8);

@@ -63,6 +63,20 @@ struct bfs_visitor {
   }
 };
 
+/// Moves a finished BFS-shaped state (level, parent, updates) into its
+/// result, recording the work counters under `algo` when `metrics` is set.
+template <typename State>
+auto take_bfs_result(State& s, queue_run_stats stats,
+                     telemetry::metrics_registry* metrics, const char* algo) {
+  bfs_result<typename decltype(s.parent)::value_type> out;
+  out.level = std::move(s.level);
+  out.parent = std::move(s.parent);
+  out.stats = std::move(stats);
+  out.updates = s.updates.total();
+  if (metrics != nullptr) out.work().record(*metrics, algo);
+  return out;
+}
+
 /// Session API: submits a BFS job to this engine and returns its handle
 /// immediately; the job runs on the engine's pooled workers, concurrently
 /// with any other active jobs. See docs/service_api.md.
@@ -81,13 +95,7 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_bfs(
         q.push(bfs_visitor<V>{start, start, 0});
       },
       [metrics](bfs_state<Graph>& s, queue_run_stats stats) {
-        bfs_result<V> out;
-        out.level = std::move(s.level);
-        out.parent = std::move(s.parent);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) out.work().record(*metrics, "bfs");
-        return out;
+        return take_bfs_result(s, std::move(stats), metrics, "bfs");
       },
       "bfs");
 }

@@ -13,7 +13,7 @@
 // propagate only along edge direction and the result is not the undirected
 // CC. graph_stats.hpp's is_symmetric() checks this in tests.
 //
-// The per-vertex seeding goes through run_seeded(), whose make_visitor
+// The per-vertex seeding goes through the seeded run, whose make_visitor
 // lambda is invoked as const from every worker concurrently (it must be
 // const-callable and thread-safe — the engine enforces the former at
 // compile time). Seed pushes ride the same batched outbox delivery as
@@ -64,6 +64,19 @@ struct cc_visitor {
   }
 };
 
+/// Moves a finished CC-shaped state (ccid, updates) into its result; see
+/// take_bfs_result.
+template <typename State>
+auto take_cc_result(State& s, queue_run_stats stats,
+                    telemetry::metrics_registry* metrics, const char* algo) {
+  cc_result<typename decltype(s.ccid)::value_type> out;
+  out.component = std::move(s.ccid);
+  out.stats = std::move(stats);
+  out.updates = s.updates.total();
+  if (metrics != nullptr) out.work().record(*metrics, algo);
+  return out;
+}
+
 /// Session API: submits a CC job to this engine; see submit_bfs. Seeding
 /// (Algorithm 3: one visitor per vertex, the vertex's own descriptor as the
 /// starting component id) happens on the job's pooled workers.
@@ -76,12 +89,7 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_cc(
       opts, cc_state<Graph>(g, resolve_threads(opts)), g.num_vertices(),
       [](V v) { return cc_visitor<V>{v, v}; },
       [metrics](cc_state<Graph>& s, queue_run_stats stats) {
-        cc_result<V> out;
-        out.component = std::move(s.ccid);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) out.work().record(*metrics, "cc");
-        return out;
+        return take_cc_result(s, std::move(stats), metrics, "cc");
       },
       "cc");
 }

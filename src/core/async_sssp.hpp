@@ -69,6 +69,19 @@ struct sssp_visitor {
   }
 };
 
+/// Moves a finished SSSP state into its result; see take_bfs_result.
+template <typename State>
+auto take_sssp_result(State& s, queue_run_stats stats,
+                      telemetry::metrics_registry* metrics, const char* algo) {
+  sssp_result<typename decltype(s.parent)::value_type> out;
+  out.dist = std::move(s.dist);
+  out.parent = std::move(s.parent);
+  out.stats = std::move(stats);
+  out.updates = s.updates.total();
+  if (metrics != nullptr) out.work().record(*metrics, algo);
+  return out;
+}
+
 /// Session API: submits an SSSP job to this engine; see submit_bfs.
 template <typename Graph>
 job<sssp_result<typename Graph::vertex_id>> engine::submit_sssp(
@@ -85,13 +98,7 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_sssp(
         q.push(sssp_visitor<V>{start, start, 0});
       },
       [metrics](sssp_state<Graph>& s, queue_run_stats stats) {
-        sssp_result<V> out;
-        out.dist = std::move(s.dist);
-        out.parent = std::move(s.parent);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) out.work().record(*metrics, "sssp");
-        return out;
+        return take_sssp_result(s, std::move(stats), metrics, "sssp");
       },
       "sssp");
 }

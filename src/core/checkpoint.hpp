@@ -28,7 +28,7 @@
 #include "core/async_sssp.hpp"
 #include "core/traversal_result.hpp"
 #include "graph/types.hpp"
-#include "queue/traversal_abort.hpp"
+#include "service/engine.hpp"
 #include "util/crc32.hpp"
 
 namespace asyncgt {
@@ -154,145 +154,172 @@ traversal_checkpoint<VertexId> load_checkpoint(const std::string& path,
   return cp;
 }
 
-/// Resumes an SSSP (or BFS: unit weights) from a snapshot: install the
-/// saved labels, then re-seed the queue by re-relaxing every out-edge of
-/// every labelled vertex. Because labels are monotone, this converges to
-/// the identical fixed point as the uninterrupted run.
-template <typename Graph>
-sssp_result<typename Graph::vertex_id> resume_sssp(
-    const Graph& g, const traversal_checkpoint<typename Graph::vertex_id>& cp,
-    traversal_options opts = {}) {
-  using V = typename Graph::vertex_id;
-  if (cp.label.size() != g.num_vertices()) {
-    throw std::invalid_argument("resume_sssp: checkpoint size mismatch");
-  }
-  const visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  sssp_state<Graph> state(g, cfg.num_threads);
-  state.dist = cp.label;
-  state.parent = cp.parent;
-  visitor_queue<sssp_visitor<V>, sssp_state<Graph>> q(cfg);
-  for (V v = 0; v < g.num_vertices(); ++v) {
-    if (cp.label[v] == infinite_distance<dist_t>) continue;
-    g.for_each_out_edge(v, [&](V vj, weight_t w) {
-      q.push(sssp_visitor<V>{vj, v, cp.label[v] + w});
-    });
-  }
-  auto stats = q.run(state);
+namespace detail {
 
-  sssp_result<V> out;
-  out.dist = std::move(state.dist);
-  out.parent = std::move(state.parent);
-  out.stats = std::move(stats);
-  out.updates = state.updates.total();
-  return out;
+/// The resume job's step: a gang sweep pushes one seed per out-edge of
+/// every labelled vertex (on the job's lanes, so a semi-external scan runs
+/// parallel and under the job's watchdog), then one run from those seeds.
+template <typename Visitor, bool UnitWeights, typename Ctl>
+void resume_step(Ctl& ctl, const std::vector<dist_t>& label) {
+  if (ctl.phases_finished == 1) ctl.run();
+  if (ctl.phases_finished != 0) return;
+  ctl.sweep(label.size(), [&q = ctl.queue, &label, g = ctl.state.g](
+                              std::size_t, std::uint64_t b, std::uint64_t e) {
+    using V = decltype(Visitor{}.vtx);
+    for (std::uint64_t v = b; v < e; ++v) {
+      if (label[v] == infinite_distance<dist_t>) continue;
+      const V u = static_cast<V>(v);
+      telemetry::metric_scope::count_edges(g->out_degree(u));
+      g->for_each_out_edge(u, [&](V x, weight_t w) {
+        q.push(Visitor{x, u, label[v] + (UnitWeights ? 1 : w)});
+      });
+    }
+  });
 }
 
-/// BFS with graceful degradation: like async_bfs, but if the run aborts
-/// (traversal_aborted — e.g. a fatal semi-external I/O error), the partial
-/// label state is saved to `checkpoint_path` as an emergency checkpoint
-/// before the exception propagates. The snapshot is sound at any abort
-/// point: the visitor writes its label BEFORE issuing the adjacency read,
-/// so the start vertex is labelled before the first possible I/O fault, and
-/// monotone label correction makes any partial array resume to the
-/// identical fixed point (resume_bfs above).
+}  // namespace detail
+
+/// A BFS job whose on-abort hook saves the partial labels to
+/// `checkpoint_path` — after an I/O error, cancel, or deadline/stall kill —
+/// before the error (or a failed save's) is delivered. Sound at any abort
+/// point: labels are written before the adjacency read, and monotone
+/// correction resumes any partial array to the identical fixed point. The
+/// start's label is known at submit, so the snapshot carries it even when
+/// the abort landed before the start visitor ran (a cancel right after
+/// submit, a gang still queued on a busy pool).
 template <typename Graph>
-bfs_result<typename Graph::vertex_id> async_bfs_checkpointed(
+job<bfs_result<typename Graph::vertex_id>> engine::submit_checkpointed_bfs(
     const Graph& g, typename Graph::vertex_id start,
-    const std::string& checkpoint_path, traversal_options opts = {}) {
+    std::string checkpoint_path, std::optional<traversal_options> opts) {
   using V = typename Graph::vertex_id;
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_bfs: start vertex out of range");
   }
-  const visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  bfs_state<Graph> state(g, cfg.num_threads);
-  visitor_queue<bfs_visitor<V>, bfs_state<Graph>> q(cfg);
-  q.push(bfs_visitor<V>{start, start, 0});
-  queue_run_stats stats;
-  try {
-    stats = q.run(state);
-  } catch (const traversal_aborted&) {
-    traversal_checkpoint<V> cp;
-    cp.kind = checkpoint_kind::bfs;
-    cp.label = state.level;
-    cp.parent = state.parent;
-    save_checkpoint(checkpoint_path, cp);
-    throw;
-  }
-  bfs_result<V> out;
-  out.level = std::move(state.level);
-  out.parent = std::move(state.parent);
-  out.stats = std::move(stats);
-  out.updates = state.updates.total();
-  if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "bfs");
-  return out;
+  telemetry::metrics_registry* metrics = resolve_metrics(opts);
+  return submit_traversal<bfs_visitor<V>>(
+      opts, bfs_state<Graph>(g, resolve_threads(opts)),
+      [start](auto& q, bfs_state<Graph>&) {
+        q.push(bfs_visitor<V>{start, start, 0});
+      },
+      [metrics](bfs_state<Graph>& s, queue_run_stats stats) {
+        return take_bfs_result(s, std::move(stats), metrics, "bfs");
+      },
+      "checkpointed_bfs",
+      [start, path = std::move(checkpoint_path)](bfs_state<Graph>& s) {
+        traversal_checkpoint<V> cp{checkpoint_kind::bfs, s.level, s.parent};
+        cp.label[start] = 0;
+        cp.parent[start] = start;
+        save_checkpoint(path, cp);
+      });
 }
 
-/// SSSP twin of async_bfs_checkpointed: emergency checkpoint on abort, same
-/// resume-to-identical-fixed-point argument (resume_sssp above).
+/// SSSP twin of submit_checkpointed_bfs.
 template <typename Graph>
-sssp_result<typename Graph::vertex_id> async_sssp_checkpointed(
+job<sssp_result<typename Graph::vertex_id>> engine::submit_checkpointed_sssp(
     const Graph& g, typename Graph::vertex_id start,
-    const std::string& checkpoint_path, traversal_options opts = {}) {
+    std::string checkpoint_path, std::optional<traversal_options> opts) {
   using V = typename Graph::vertex_id;
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_sssp: start vertex out of range");
   }
-  const visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  sssp_state<Graph> state(g, cfg.num_threads);
-  visitor_queue<sssp_visitor<V>, sssp_state<Graph>> q(cfg);
-  q.push(sssp_visitor<V>{start, start, 0});
-  queue_run_stats stats;
-  try {
-    stats = q.run(state);
-  } catch (const traversal_aborted&) {
-    traversal_checkpoint<V> cp;
-    cp.kind = checkpoint_kind::sssp;
-    cp.label = state.dist;
-    cp.parent = state.parent;
-    save_checkpoint(checkpoint_path, cp);
-    throw;
-  }
-  sssp_result<V> out;
-  out.dist = std::move(state.dist);
-  out.parent = std::move(state.parent);
-  out.stats = std::move(stats);
-  out.updates = state.updates.total();
-  if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "sssp");
-  return out;
+  telemetry::metrics_registry* metrics = resolve_metrics(opts);
+  return submit_traversal<sssp_visitor<V>>(
+      opts, sssp_state<Graph>(g, resolve_threads(opts)),
+      [start](auto& q, sssp_state<Graph>&) {
+        q.push(sssp_visitor<V>{start, start, 0});
+      },
+      [metrics](sssp_state<Graph>& s, queue_run_stats stats) {
+        return take_sssp_result(s, std::move(stats), metrics, "sssp");
+      },
+      "checkpointed_sssp",
+      [start, path = std::move(checkpoint_path)](sssp_state<Graph>& s) {
+        traversal_checkpoint<V> cp{checkpoint_kind::sssp, s.dist, s.parent};
+        cp.label[start] = 0;
+        cp.parent[start] = start;
+        save_checkpoint(path, cp);
+      });
 }
 
-/// BFS resume: unit-weight specialization with its own visitor type.
+/// Resumes a BFS from a snapshot's labels (see detail::resume_step).
 template <typename Graph>
-bfs_result<typename Graph::vertex_id> resume_bfs(
+job<bfs_result<typename Graph::vertex_id>> engine::submit_resume_bfs(
     const Graph& g, const traversal_checkpoint<typename Graph::vertex_id>& cp,
-    traversal_options opts = {}) {
+    std::optional<traversal_options> opts) {
   using V = typename Graph::vertex_id;
   if (cp.label.size() != g.num_vertices()) {
     throw std::invalid_argument("resume_bfs: checkpoint size mismatch");
   }
-  const visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  bfs_state<Graph> state(g, cfg.num_threads);
+  bfs_state<Graph> state(g, resolve_threads(opts));
   state.level = cp.label;
   state.parent = cp.parent;
-  visitor_queue<bfs_visitor<V>, bfs_state<Graph>> q(cfg);
-  for (V v = 0; v < g.num_vertices(); ++v) {
-    if (cp.label[v] == infinite_distance<dist_t>) continue;
-    g.for_each_out_edge(v, [&](V vj, weight_t) {
-      q.push(bfs_visitor<V>{vj, v, cp.label[v] + 1});
-    });
-  }
-  auto stats = q.run(state);
+  return submit_phased<bfs_visitor<V>>(
+      opts, std::move(state),
+      [](auto& ctl) {
+        detail::resume_step<bfs_visitor<V>, true>(ctl, ctl.state.level);
+      },
+      [](bfs_state<Graph>& s, queue_run_stats stats) {
+        return take_bfs_result(s, std::move(stats), nullptr, "bfs");
+      },
+      "resume_bfs");
+}
 
-  bfs_result<V> out;
-  out.level = std::move(state.level);
-  out.parent = std::move(state.parent);
-  out.stats = std::move(stats);
-  out.updates = state.updates.total();
-  return out;
+/// SSSP twin of submit_resume_bfs.
+template <typename Graph>
+job<sssp_result<typename Graph::vertex_id>> engine::submit_resume_sssp(
+    const Graph& g, const traversal_checkpoint<typename Graph::vertex_id>& cp,
+    std::optional<traversal_options> opts) {
+  using V = typename Graph::vertex_id;
+  if (cp.label.size() != g.num_vertices()) {
+    throw std::invalid_argument("resume_sssp: checkpoint size mismatch");
+  }
+  sssp_state<Graph> state(g, resolve_threads(opts));
+  state.dist = cp.label;
+  state.parent = cp.parent;
+  return submit_phased<sssp_visitor<V>>(
+      opts, std::move(state),
+      [](auto& ctl) {
+        detail::resume_step<sssp_visitor<V>, false>(ctl, ctl.state.dist);
+      },
+      [](sssp_state<Graph>& s, queue_run_stats stats) {
+        return take_sssp_result(s, std::move(stats), nullptr, "sssp");
+      },
+      "resume_sssp");
+}
+
+// ---- One-shot wrappers over the process-local engine (submit + get) ----
+
+template <typename Graph>
+bfs_result<typename Graph::vertex_id> async_bfs_checkpointed(
+    const Graph& g, typename Graph::vertex_id start,
+    const std::string& checkpoint_path, traversal_options opts = {}) {
+  return engine::process_default()
+      .submit_checkpointed_bfs(g, start, checkpoint_path, std::move(opts))
+      .get();
+}
+
+template <typename Graph>
+sssp_result<typename Graph::vertex_id> async_sssp_checkpointed(
+    const Graph& g, typename Graph::vertex_id start,
+    const std::string& checkpoint_path, traversal_options opts = {}) {
+  return engine::process_default()
+      .submit_checkpointed_sssp(g, start, checkpoint_path, std::move(opts))
+      .get();
+}
+
+template <typename Graph>
+bfs_result<typename Graph::vertex_id> resume_bfs(
+    const Graph& g, const traversal_checkpoint<typename Graph::vertex_id>& cp,
+    traversal_options opts = {}) {
+  return engine::process_default().submit_resume_bfs(g, cp, std::move(opts))
+      .get();
+}
+
+template <typename Graph>
+sssp_result<typename Graph::vertex_id> resume_sssp(
+    const Graph& g, const traversal_checkpoint<typename Graph::vertex_id>& cp,
+    traversal_options opts = {}) {
+  return engine::process_default().submit_resume_sssp(g, cp, std::move(opts))
+      .get();
 }
 
 }  // namespace asyncgt

@@ -13,43 +13,44 @@
 //
 // This header grafts that idea onto the asynchronous engine without
 // abandoning its label-correcting semantics (docs/hybrid_traversal.md
-// walks through the proof obligations):
+// walks through the proof obligations). A hybrid traversal is one phased
+// job on asyncgt::engine: its step hook runs between phases, applies the
+// last phase's output, and picks the next direction:
 //
-//   * Top-down phases run the normal visitor queue, but capped at a level
-//     horizon: a visitor carrying a level >= horizon defers itself into a
-//     per-thread buffer instead of relaxing. At quiescence every label
-//     < horizon is exact (the run processed every visitor below the cap),
+//   * Top-down phases are queue runs capped at a level horizon: a visitor
+//     carrying a level >= horizon defers itself into a per-lane buffer
+//     instead of relaxing. At quiescence every label < horizon is exact,
 //     and the deferred buffers hold exactly the candidate edges into the
-//     next level — which is both the next frontier and the m_f input to
-//     the alpha test.
-//   * Bottom-up phases are level-synchronous pull sweeps over the
-//     still-unvisited candidates' in-edges, gang-scheduled on the engine's
-//     worker pool (per-thread claim lists, driver applies them between
-//     sweeps — no cross-thread writes, so the sweeps are race-free by
-//     construction).
-//   * The final flip back to top-down seeds "expand" visitors (push your
-//     out-edges, relabel nothing) for the last bottom-up wave and runs the
-//     queue with an infinite horizon — from an exact frontier, plain
-//     asynchronous label correction finishes the traversal and converges
-//     to the identical fixed point as the pure-async run. The diff harness
-//     (ctest -L diff) asserts bit-identical labels on both IM and SEM
-//     backends.
+//     next level — both the next frontier and the m_f input to the alpha
+//     test.
+//   * Bottom-up phases are gang sweeps over the still-unvisited
+//     candidates' in-edges on the job's lanes (per-lane claim lists the
+//     step applies afterwards — race-free by construction).
+//   * The final flip back seeds "expand" visitors (push your out-edges,
+//     relabel nothing) for the last bottom-up wave and runs the queue with
+//     an infinite horizon: from an exact frontier, plain asynchronous label
+//     correction converges to the identical fixed point as the pure-async
+//     run. The diff harness (ctest -L diff) asserts bit-identical labels on
+//     both IM and SEM backends.
 //
 // The alpha/beta switch thresholds live in queue/frontier_estimator.hpp
 // and come in through traversal_options (--hybrid-alpha / --hybrid-beta).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/async_bfs.hpp"
+#include "core/async_cc.hpp"
 #include "core/traversal_result.hpp"
 #include "graph/types.hpp"
 #include "queue/frontier_estimator.hpp"
-#include "queue/visitor_queue.hpp"
 #include "service/engine.hpp"
 #include "util/cache_line.hpp"
 
@@ -72,38 +73,70 @@ struct hybrid_extra {
   std::vector<hybrid_phase> phases;
 };
 
-/// Deferred-visitor record; carried in the widest id so the state struct
-/// below does not depend on the visitor template.
-struct hybrid_bfs_visitor_data {
-  std::uint64_t vtx = 0;
-  std::uint64_t parent = 0;
-  dist_t level = 0;
+/// What both hybrid job states carry besides labels and per-lane buffers.
+struct hybrid_common {
+  sharded_counter updates;
+  sharded_counter inspected;  // edges scanned, all phases
+  /// On the heap: the job's queue config points at it, the state moves.
+  std::unique_ptr<frontier_estimator> est;
+  hybrid_extra extra;
+  std::uint64_t inspected_before = 0;  // at the last phase launch
+  /// Sweep work (claims, CC label changes), each morally one visit: keeps
+  /// the aggregate work proxies (wasted_visits = visits - updates) sane.
+  std::uint64_t sweep_visits = 0;
+
+  hybrid_common(std::size_t num_threads, double alpha, double beta)
+      : updates(num_threads),
+        inspected(num_threads),
+        est(std::make_unique<frontier_estimator>(alpha, beta)) {}
+
+  /// Records a finished phase's inspections into the per-phase breakdown.
+  void note_phase(const char* dir, std::uint64_t depth,
+                  std::uint64_t frontier) {
+    extra.phases.push_back(
+        {dir, depth, inspected.total() - inspected_before, frontier});
+  }
 };
 
 template <typename Graph>
-struct hybrid_bfs_state {
+struct hybrid_bfs_state : hybrid_common {
   using V = typename Graph::vertex_id;
+  enum class direction { top_down, bottom_up, async_tail };
 
   const Graph* g = nullptr;
   std::vector<dist_t> level;
   std::vector<V> parent;
-  sharded_counter updates;
-  sharded_counter inspected;  // edges scanned, all phases
-  /// Visitors at level >= horizon defer instead of relaxing; the driver
+  /// Visitors at level >= horizon defer instead of relaxing; the step
   /// raises this one level per capped run and sets it to
   /// infinite_distance for the final asynchronous tail.
   dist_t horizon = infinite_distance<dist_t>;
-  /// Per-thread deferred-visitor buffers (cache-line padded: workers append
-  /// concurrently to their own).
-  std::vector<padded<std::vector<hybrid_bfs_visitor_data>>> deferred;
+  /// Per-lane (vertex, parent) candidates for level depth+1: deferred by a
+  /// capped run's visitors or claimed by a bottom-up sweep (cache-line
+  /// padded: lanes append concurrently to their own).
+  std::vector<padded<std::vector<std::pair<V, V>>>> next;
 
-  hybrid_bfs_state(const Graph& graph, std::size_t num_threads)
-      : g(&graph),
+  // Driver state, touched only by the between-phase step.
+  direction dir = direction::top_down;  // of the phase last launched
+  std::vector<V> wave;                  // vertices newly labelled at depth
+  dist_t depth = 0;
+  /// m_u: out-edges still owned by unvisited vertices (the alpha test's
+  /// denominator); maintained incrementally as waves land.
+  std::uint64_t m_u = 0;
+
+  hybrid_bfs_state(const Graph& graph, V start, std::size_t num_threads,
+                   double alpha, double beta)
+      : hybrid_common(num_threads, alpha, beta),
+        g(&graph),
         level(graph.num_vertices(), infinite_distance<dist_t>),
         parent(graph.num_vertices(), invalid_vertex<V>),
-        updates(num_threads),
-        inspected(num_threads),
-        deferred(num_threads) {}
+        next(num_threads),
+        wave{start},
+        m_u(graph.num_edges() - graph.out_degree(start)) {
+    // Level 0 is applied directly.
+    level[start] = 0;
+    parent[start] = start;
+    updates.add(0);
+  }
 };
 
 template <typename VertexId>
@@ -121,289 +154,55 @@ struct hybrid_bfs_visitor {
   template <typename State, typename Queue>
   void visit(State& s, Queue& q, std::size_t tid) const {
     if (expand) {
-      if (s.level[vtx] == cur_level) {
-        const std::uint64_t d = s.g->out_degree(vtx);
-        s.inspected.add(tid, d);
-        telemetry::metric_scope::count_edges(d);
-        s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-          q.push(hybrid_bfs_visitor{vj, vtx, cur_level + 1, false});
-        });
-      }
+      if (s.level[vtx] == cur_level) push_out_edges(s, q, tid);
       return;
     }
     if (cur_level < s.level[vtx]) {
       if (cur_level >= s.horizon) {
-        s.deferred[tid].value.push_back(
-            {static_cast<std::uint64_t>(vtx),
-             static_cast<std::uint64_t>(cur_parent), cur_level});
+        s.next[tid].value.emplace_back(vtx, cur_parent);
         return;
       }
       s.level[vtx] = cur_level;
       s.parent[vtx] = cur_parent;
       s.updates.add(tid);
-      const std::uint64_t d = s.g->out_degree(vtx);
-      s.inspected.add(tid, d);
-      telemetry::metric_scope::count_edges(d);
-      s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        q.push(hybrid_bfs_visitor{vj, vtx, cur_level + 1, false});
-      });
+      push_out_edges(s, q, tid);
     }
+  }
+
+  template <typename State, typename Queue>
+  void push_out_edges(State& s, Queue& q, std::size_t tid) const {
+    const std::uint64_t d = s.g->out_degree(vtx);
+    s.inspected.add(tid, d);
+    telemetry::metric_scope::count_edges(d);
+    s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
+      q.push(hybrid_bfs_visitor{vj, vtx, cur_level + 1, false});
+    });
   }
 };
 
-namespace detail {
-
-/// Gangs `body(tid, begin, end)` over `num_threads` contiguous ranges of
-/// [0, n) on the pool; runs serially when no pool is configured. The wait
-/// is the barrier the sweep protocols rely on.
-template <typename F>
-void hybrid_parallel_ranges(service::worker_pool* pool,
-                            std::size_t num_threads, std::uint64_t n,
-                            F&& body) {
-  if (pool == nullptr || num_threads <= 1 || n < 2 * num_threads) {
-    body(std::size_t{0}, std::uint64_t{0}, n);
-    return;
-  }
-  const std::uint64_t chunk = (n + num_threads - 1) / num_threads;
-  pool->wait(pool->submit(num_threads, [&](std::size_t t) {
-    const std::uint64_t b = static_cast<std::uint64_t>(t) * chunk;
-    if (b >= n) return;
-    body(t, b, std::min(n, b + chunk));
-  }));
-}
-
-/// Folds one capped/tail run's stats into the whole-traversal aggregate.
-inline void hybrid_accumulate(queue_run_stats& agg,
-                              const queue_run_stats& run) {
-  agg.visits += run.visits;
-  agg.pushes += run.pushes;
-  agg.flushes += run.flushes;
-  agg.wakeups += run.wakeups;
-  agg.max_queue_length = std::max(agg.max_queue_length, run.max_queue_length);
-  agg.elapsed_seconds += run.elapsed_seconds;
-  if (agg.visits_per_queue.size() < run.visits_per_queue.size()) {
-    agg.visits_per_queue.resize(run.visits_per_queue.size(), 0);
-  }
-  for (std::size_t i = 0; i < run.visits_per_queue.size(); ++i) {
-    agg.visits_per_queue[i] += run.visits_per_queue[i];
-  }
-}
-
-inline void hybrid_record_metrics(telemetry::metrics_registry* metrics,
-                                  const hybrid_extra& extra,
-                                  const char* algo) {
-  if (metrics == nullptr) return;
-  metrics->get_counter("engine.direction_switches")
-      .add(0, extra.direction_switches);
-  metrics->get_counter(std::string(algo) + ".edge_inspections")
-      .add(0, extra.edge_inspections);
-}
-
-}  // namespace detail
-
-/// Hybrid BFS. Requires a reverse view on `g` (throws std::invalid_argument
-/// otherwise); produces exactly async_bfs's labels. `extra`, when non-null,
-/// receives the per-phase direction/inspection breakdown.
 template <typename Graph>
-bfs_result<typename Graph::vertex_id> hybrid_bfs(
-    const Graph& g, typename Graph::vertex_id start,
-    traversal_options opts = {}, hybrid_extra* extra = nullptr) {
-  using V = typename Graph::vertex_id;
-  if (start >= g.num_vertices()) {
-    throw std::out_of_range("hybrid_bfs: start vertex out of range");
-  }
-  if (!g.has_reverse()) {
-    throw std::invalid_argument(
-        "hybrid_bfs: graph has no reverse view (ensure_reverse / "
-        "open_reverse first)");
-  }
-  const double alpha = opts.hybrid_alpha;
-  const double beta = opts.hybrid_beta;
-  visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  frontier_estimator est(alpha, beta);
-  cfg.estimator = &est;
-
-  const std::uint64_t n = g.num_vertices();
-  hybrid_bfs_state<Graph> s(g, cfg.num_threads);
-  visitor_queue<hybrid_bfs_visitor<V>, hybrid_bfs_state<Graph>> q(cfg);
-
-  hybrid_extra detail_out;
-  queue_run_stats agg;
-
-  // Level 0 is applied directly; `wave` always holds the vertices newly
-  // labelled at level `depth`.
-  s.level[start] = 0;
-  s.parent[start] = start;
-  s.updates.add(0);
-  std::vector<V> wave{start};
-  dist_t depth = 0;
-  // m_u: out-edges still owned by unvisited vertices (the alpha test's
-  // denominator); maintained incrementally as waves land.
-  std::uint64_t m_u = g.num_edges() - g.out_degree(start);
-
-  enum class direction { top_down, bottom_up, async_tail };
-  direction dir = direction::top_down;
-  // Unvisited candidates for bottom-up sweeps; built on first entry,
-  // compacted between sweeps.
-  std::vector<V> candidates;
-  bool candidates_built = false;
-
-  while (!wave.empty()) {
-    est.sample(wave.size());
-    // Decide the direction that computes level depth+1.
-    if (dir == direction::top_down) {
-      std::uint64_t m_f = 0;
-      for (const V v : wave) m_f += g.out_degree(v);
-      if (est.go_bottom_up(m_f, m_u)) {
-        dir = direction::bottom_up;
-        ++detail_out.direction_switches;
-      }
-    } else if (dir == direction::bottom_up &&
-               !est.stay_bottom_up(wave.size(), n)) {
-      dir = direction::async_tail;
-      ++detail_out.direction_switches;
-    }
-
-    const std::uint64_t inspected_before = s.inspected.total();
-    std::vector<V> next_wave;
-
-    if (dir == direction::async_tail) {
-      // From an exact frontier, plain asynchronous label correction
-      // finishes the traversal: seed expanders for the last wave and run
-      // uncapped to quiescence.
-      s.horizon = infinite_distance<dist_t>;
-      for (const V v : wave) {
-        q.push(hybrid_bfs_visitor<V>{v, v, depth, true});
-      }
-      detail::hybrid_accumulate(agg, q.run(s));
-      detail_out.phases.push_back(
-          {"async-tail", depth + 1, s.inspected.total() - inspected_before,
-           0});
-      break;
-    }
-
-    if (dir == direction::top_down) {
-      // One capped run: expanders push the wave's out-edges; every level
-      // depth+1 candidate defers itself. Quiescence makes the deferred
-      // buffers the complete candidate set.
-      s.horizon = depth + 1;
-      for (const V v : wave) {
-        q.push(hybrid_bfs_visitor<V>{v, v, depth, true});
-      }
-      detail::hybrid_accumulate(agg, q.run(s));
-      // Apply the deferred relaxations serially (first candidate per
-      // vertex wins, as in any label-correcting order).
-      for (auto& lane : s.deferred) {
-        for (const hybrid_bfs_visitor_data& d : lane.value) {
-          const V v = static_cast<V>(d.vtx);
-          if (d.level < s.level[v]) {
-            s.level[v] = d.level;
-            s.parent[v] = static_cast<V>(d.parent);
-            s.updates.add(0);
-            next_wave.push_back(v);
-          }
-        }
-        lane.value.clear();
-      }
-    } else {
-      // Bottom-up sweep: every unvisited candidate scans its in-edges for
-      // a parent at `depth`, stopping (for accounting) at the first hit.
-      if (!candidates_built) {
-        candidates_built = true;
-        candidates.reserve(n > wave.size() ? n - wave.size() : 0);
-        for (std::uint64_t v = 0; v < n; ++v) {
-          if (s.level[v] == infinite_distance<dist_t>) {
-            candidates.push_back(static_cast<V>(v));
-          }
-        }
-      } else {
-        std::size_t keep = 0;
-        for (const V v : candidates) {
-          if (s.level[v] == infinite_distance<dist_t>) {
-            candidates[keep++] = v;
-          }
-        }
-        candidates.resize(keep);
-      }
-      struct claim {
-        V vtx;
-        V parent;
-      };
-      std::vector<padded<std::vector<claim>>> claims(cfg.num_threads);
-      std::vector<padded<std::uint64_t>> scanned(cfg.num_threads);
-      detail::hybrid_parallel_ranges(
-          cfg.pool, cfg.num_threads, candidates.size(),
-          [&](std::size_t tid, std::uint64_t b, std::uint64_t e) {
-            std::uint64_t local_scanned = 0;
-            for (std::uint64_t i = b; i < e; ++i) {
-              const V v = candidates[i];
-              bool claimed = false;
-              g.for_each_in_edge(v, [&](V u, weight_t) {
-                if (claimed) return;
-                ++local_scanned;
-                if (s.level[u] == depth) {
-                  claimed = true;
-                  claims[tid].value.push_back({v, u});
-                }
-              });
-            }
-            scanned[tid].value += local_scanned;
-          });
-      for (std::size_t t = 0; t < cfg.num_threads; ++t) {
-        s.inspected.add(0, scanned[t].value);
-        for (const claim& c : claims[t].value) {
-          s.level[c.vtx] = depth + 1;
-          s.parent[c.vtx] = c.parent;
-          s.updates.add(0);
-          next_wave.push_back(c.vtx);
-        }
-      }
-      telemetry::metric_scope::count_edges(s.inspected.total() -
-                                           inspected_before);
-      // Each claim is morally one visit: keep the aggregate work proxies
-      // (wasted_visits = visits - updates) non-degenerate.
-      agg.visits += next_wave.size();
-    }
-
-    ++depth;
-    for (const V v : next_wave) m_u -= g.out_degree(v);
-    detail_out.phases.push_back(
-        {dir == direction::top_down ? "top-down" : "bottom-up", depth,
-         s.inspected.total() - inspected_before, next_wave.size()});
-    wave = std::move(next_wave);
-  }
-
-  detail_out.edge_inspections = s.inspected.total();
-  detail::hybrid_record_metrics(cfg.metrics, detail_out, "hybrid_bfs");
-  if (extra != nullptr) *extra = std::move(detail_out);
-
-  bfs_result<V> out;
-  out.level = std::move(s.level);
-  out.parent = std::move(s.parent);
-  out.stats = std::move(agg);
-  out.updates = s.updates.total();
-  if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "hybrid_bfs");
-  return out;
-}
-
-template <typename Graph>
-struct hybrid_cc_state {
+struct hybrid_cc_state : hybrid_common {
   using V = typename Graph::vertex_id;
 
   const Graph* g = nullptr;
   std::vector<V> ccid;
-  sharded_counter updates;
-  sharded_counter inspected;
+  /// Jacobi double buffer: a sweep reads ccid and writes next_ccid.
+  std::vector<V> next_ccid;
+  /// Per-lane lists of the vertices the last sweep lowered.
+  std::vector<padded<std::vector<V>>> changed;
 
-  hybrid_cc_state(const Graph& graph, std::size_t num_threads)
-      : g(&graph),
+  // Driver state, touched only by the between-phase step.
+  std::uint64_t sweeps = 0;
+  bool in_tail = false;
+
+  hybrid_cc_state(const Graph& graph, std::size_t num_threads, double alpha,
+                  double beta)
+      : hybrid_common(num_threads, alpha, beta),
+        g(&graph),
         ccid(graph.num_vertices()),
-        updates(num_threads),
-        inspected(num_threads) {
-    for (std::uint64_t v = 0; v < graph.num_vertices(); ++v) {
-      ccid[v] = static_cast<V>(v);
-    }
+        next_ccid(graph.num_vertices()),
+        changed(num_threads) {
+    std::iota(ccid.begin(), ccid.end(), V{0});
   }
 };
 
@@ -420,137 +219,280 @@ struct hybrid_cc_visitor {
 
   template <typename State, typename Queue>
   void visit(State& s, Queue& q, std::size_t tid) const {
-    if (expand) {
-      if (s.ccid[vtx] == cur_ccid) {
-        const std::uint64_t d = s.g->out_degree(vtx);
-        s.inspected.add(tid, d);
-        telemetry::metric_scope::count_edges(d);
-        s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-          q.push(hybrid_cc_visitor{vj, cur_ccid, false});
-        });
-      }
-      return;
-    }
-    if (cur_ccid < s.ccid[vtx]) {
+    if (expand ? s.ccid[vtx] != cur_ccid : cur_ccid >= s.ccid[vtx]) return;
+    if (!expand) {
       s.ccid[vtx] = cur_ccid;
       s.updates.add(tid);
-      const std::uint64_t d = s.g->out_degree(vtx);
-      s.inspected.add(tid, d);
-      telemetry::metric_scope::count_edges(d);
-      s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        q.push(hybrid_cc_visitor{vj, cur_ccid, false});
-      });
     }
+    const std::uint64_t d = s.g->out_degree(vtx);
+    s.inspected.add(tid, d);
+    telemetry::metric_scope::count_edges(d);
+    s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
+      q.push(hybrid_cc_visitor{vj, cur_ccid, false});
+    });
   }
 };
 
-/// Hybrid CC for undirected (symmetric) graphs. Starts bottom-up — every
-/// vertex's label is its own id, so the "frontier" is the whole graph and
-/// Jacobi pull sweeps over in-edges relax it wholesale — then flips to the
-/// asynchronous push tail once the per-sweep change count drops below
-/// n/beta. Seeding the tail with only the final sweep's changed vertices is
-/// sound: a double-buffered sweep that leaves both endpoints of an edge
-/// unchanged has already ordered their labels, so every possible future
-/// relaxation traces back to a changed vertex. Produces exactly async_cc's
-/// labels (the min reachable id per vertex).
+namespace detail {
+
+template <typename Graph>
+void require_reverse(const Graph& g, const char* what) {
+  if (!g.has_reverse()) {
+    throw std::invalid_argument(
+        std::string(what) +
+        ": graph has no reverse view (ensure_reverse / open_reverse first)");
+  }
+}
+
+/// Shared finalize tail (attributed to the job): sweep work counts as
+/// visits in the result and the job's scope; the breakdown is published.
+inline void finish_hybrid(hybrid_common& s, queue_run_stats& stats,
+                          telemetry::metrics_registry* metrics,
+                          hybrid_extra* out, const char* algo) {
+  stats.visits += s.sweep_visits;
+  if (telemetry::metric_scope* sc = telemetry::metric_scope::current()) {
+    sc->add(telemetry::metric_scope::hot::visits,
+            telemetry::metric_scope::current_shard(), s.sweep_visits);
+  }
+  s.extra.edge_inspections = s.inspected.total();
+  if (metrics != nullptr) {
+    metrics->get_counter("engine.direction_switches")
+        .add(0, s.extra.direction_switches);
+    metrics->get_counter(std::string(algo) + ".edge_inspections")
+        .add(0, s.extra.edge_inspections);
+  }
+  if (out != nullptr) *out = std::move(s.extra);
+}
+
+/// Hybrid BFS step: applies the last phase's level depth+1 candidates
+/// (first per vertex wins), then launches the direction that computes the
+/// next level — or finishes on an empty wave or a completed tail.
+template <typename Ctl>
+void hybrid_bfs_step(Ctl& ctl) {
+  auto& s = ctl.state;
+  using state_t = std::remove_reference_t<decltype(s)>;
+  using V = typename state_t::V;
+  using direction = typename state_t::direction;
+  const std::uint64_t n = s.g->num_vertices();
+
+  if (ctl.phases_finished > 0) {
+    if (s.dir == direction::async_tail) {
+      s.note_phase("async-tail", s.depth + 1, 0);
+      return;
+    }
+    std::vector<V> wave;
+    for (auto& lane : s.next) {
+      for (const auto& [v, p] : lane.value) {
+        if (s.depth + 1 < s.level[v]) {
+          s.level[v] = s.depth + 1;
+          s.parent[v] = p;
+          s.updates.add(0);
+          wave.push_back(v);
+        }
+      }
+      lane.value.clear();
+    }
+    if (s.dir == direction::bottom_up) s.sweep_visits += wave.size();
+    ++s.depth;
+    for (const V v : wave) s.m_u -= s.g->out_degree(v);
+    s.note_phase(s.dir == direction::top_down ? "top-down" : "bottom-up",
+                 s.depth, wave.size());
+    s.wave = std::move(wave);
+  }
+  if (s.wave.empty()) return;
+
+  s.est->sample(s.wave.size());
+  if (s.dir == direction::top_down) {
+    std::uint64_t m_f = 0;
+    for (const V v : s.wave) m_f += s.g->out_degree(v);
+    if (s.est->go_bottom_up(m_f, s.m_u)) {
+      s.dir = direction::bottom_up;
+      ++s.extra.direction_switches;
+    }
+  } else if (s.dir == direction::bottom_up &&
+             !s.est->stay_bottom_up(s.wave.size(), n)) {
+    s.dir = direction::async_tail;
+    ++s.extra.direction_switches;
+  }
+  s.inspected_before = s.inspected.total();
+
+  if (s.dir != direction::bottom_up) {
+    // Expanders push the wave's out-edges. Capped, every level depth+1
+    // candidate defers itself, so quiescence leaves exactly the next
+    // level's candidates; uncapped (the tail), plain asynchronous label
+    // correction finishes the traversal from the exact frontier.
+    s.horizon = s.dir == direction::top_down ? s.depth + 1
+                                             : infinite_distance<dist_t>;
+    for (const V v : s.wave) {
+      ctl.queue.push(hybrid_bfs_visitor<V>{v, v, s.depth, true});
+    }
+    ctl.run();
+    return;
+  }
+
+  // Every unvisited vertex scans its in-edges for a parent at `depth`,
+  // stopping (for accounting) at the first hit.
+  ctl.sweep(n, [&s](std::size_t tid, std::uint64_t b, std::uint64_t e) {
+    std::uint64_t scanned = 0;
+    for (std::uint64_t i = b; i < e; ++i) {
+      if (s.level[i] != infinite_distance<dist_t>) continue;
+      const V v = static_cast<V>(i);
+      bool claimed = false;
+      s.g->for_each_in_edge(v, [&](V u, weight_t) {
+        if (claimed) return;
+        ++scanned;
+        if (s.level[u] == s.depth) {
+          claimed = true;
+          s.next[tid].value.emplace_back(v, u);
+        }
+      });
+    }
+    s.inspected.add(tid, scanned);
+    telemetry::metric_scope::count_edges(scanned);
+  });
+}
+
+/// Hybrid CC step: folds the last sweep in (on the first call, the own-id
+/// initialization), then sweeps again while the change count stays above
+/// n/beta, flips to the asynchronous push tail seeded with the last
+/// sweep's changed set, or finishes.
+template <typename Ctl>
+void hybrid_cc_step(Ctl& ctl) {
+  auto& s = ctl.state;
+  using V = typename std::remove_reference_t<decltype(s)>::V;
+  const std::uint64_t n = s.ccid.size();
+
+  std::uint64_t changed = n;
+  if (ctl.phases_finished == 0) {
+    // Initialization to the own id is every vertex's first relaxation (the
+    // async seeding does the same against the invalid init label), so the
+    // aggregate work proxies stay well-defined: updates >= n, and
+    // cc_result::work()'s label_corrections = updates - n never wraps.
+    s.updates.add(0, n);
+    s.sweep_visits += n;
+  } else if (s.in_tail) {
+    s.note_phase("async-tail", s.sweeps + 1, 0);
+    return;
+  } else {
+    std::swap(s.ccid, s.next_ccid);
+    changed = 0;
+    for (const auto& lane : s.changed) changed += lane.value.size();
+    s.updates.add(0, changed);
+    s.sweep_visits += changed;
+    s.est->sample(changed);
+    s.note_phase("bottom-up", ++s.sweeps, changed);
+  }
+  if (changed == 0) return;
+  s.inspected_before = s.inspected.total();
+
+  if (s.sweeps == 0 || s.est->stay_bottom_up(changed, n)) {
+    for (auto& lane : s.changed) lane.value.clear();
+    ctl.sweep(n, [&s](std::size_t tid, std::uint64_t b, std::uint64_t e) {
+      std::uint64_t scanned = 0;
+      for (std::uint64_t v = b; v < e; ++v) {
+        V m = s.ccid[v];
+        s.g->for_each_in_edge(static_cast<V>(v), [&](V u, weight_t) {
+          ++scanned;
+          if (s.ccid[u] < m) m = s.ccid[u];
+        });
+        s.next_ccid[v] = m;
+        if (m < s.ccid[v]) s.changed[tid].value.push_back(V(v));
+      }
+      s.inspected.add(tid, scanned);
+      telemetry::metric_scope::count_edges(scanned);
+    });
+    return;
+  }
+  ++s.extra.direction_switches;
+  s.in_tail = true;
+  for (const auto& lane : s.changed) {
+    for (const V v : lane.value) {
+      ctl.queue.push(hybrid_cc_visitor<V>{v, s.ccid[v], true});
+    }
+  }
+  ctl.run();
+}
+
+}  // namespace detail
+
+/// Session API: submits a hybrid BFS job. Requires a reverse view on `g`
+/// (throws std::invalid_argument otherwise); produces exactly async_bfs's
+/// labels.
+template <typename Graph>
+job<bfs_result<typename Graph::vertex_id>> engine::submit_hybrid_bfs(
+    const Graph& g, typename Graph::vertex_id start, hybrid_extra* extra,
+    std::optional<traversal_options> opts) {
+  using V = typename Graph::vertex_id;
+  if (start >= g.num_vertices()) {
+    throw std::out_of_range("hybrid_bfs: start vertex out of range");
+  }
+  detail::require_reverse(g, "hybrid_bfs");
+  traversal_options t = resolve(opts);
+  hybrid_bfs_state<Graph> state(g, start, t.queue.num_threads,
+                                t.hybrid_alpha, t.hybrid_beta);
+  t.queue.estimator = state.est.get();
+  telemetry::metrics_registry* metrics = resolve_metrics(opts);
+  return submit_phased<hybrid_bfs_visitor<V>>(
+      std::move(t), std::move(state),
+      [](auto& ctl) { detail::hybrid_bfs_step(ctl); },
+      [metrics, extra](hybrid_bfs_state<Graph>& s, queue_run_stats stats) {
+        detail::finish_hybrid(s, stats, metrics, extra, "hybrid_bfs");
+        return take_bfs_result(s, std::move(stats), metrics, "hybrid_bfs");
+      },
+      "hybrid_bfs");
+}
+
+/// Session API: submits a hybrid CC job for an undirected (symmetric)
+/// graph. Starts bottom-up — every vertex's label is its own id, so the
+/// "frontier" is the whole graph and Jacobi pull sweeps over in-edges relax
+/// it wholesale — then flips to the asynchronous push tail once the
+/// per-sweep change count drops below n/beta. Seeding the tail with only
+/// the final sweep's changed vertices is sound: a double-buffered sweep
+/// that leaves both endpoints of an edge unchanged has already ordered
+/// their labels, so every possible future relaxation traces back to a
+/// changed vertex. Produces exactly async_cc's labels (the min reachable id
+/// per vertex).
+template <typename Graph>
+job<cc_result<typename Graph::vertex_id>> engine::submit_hybrid_cc(
+    const Graph& g, hybrid_extra* extra,
+    std::optional<traversal_options> opts) {
+  using V = typename Graph::vertex_id;
+  detail::require_reverse(g, "hybrid_cc");
+  traversal_options t = resolve(opts);
+  hybrid_cc_state<Graph> state(g, t.queue.num_threads, t.hybrid_alpha,
+                               t.hybrid_beta);
+  t.queue.estimator = state.est.get();
+  telemetry::metrics_registry* metrics = resolve_metrics(opts);
+  return submit_phased<hybrid_cc_visitor<V>>(
+      std::move(t), std::move(state),
+      [](auto& ctl) { detail::hybrid_cc_step(ctl); },
+      [metrics, extra](hybrid_cc_state<Graph>& s, queue_run_stats stats) {
+        detail::finish_hybrid(s, stats, metrics, extra, "hybrid_cc");
+        return take_cc_result(s, std::move(stats), metrics, "hybrid_cc");
+      },
+      "hybrid_cc");
+}
+
+// ---- One-shot wrappers over the process-local engine (submit + get) ----
+
+/// `extra`, when non-null, receives the per-phase direction/inspection
+/// breakdown.
+template <typename Graph>
+bfs_result<typename Graph::vertex_id> hybrid_bfs(
+    const Graph& g, typename Graph::vertex_id start,
+    traversal_options opts = {}, hybrid_extra* extra = nullptr) {
+  return engine::process_default()
+      .submit_hybrid_bfs(g, start, extra, std::move(opts))
+      .get();
+}
+
 template <typename Graph>
 cc_result<typename Graph::vertex_id> hybrid_cc(const Graph& g,
                                                traversal_options opts = {},
                                                hybrid_extra* extra = nullptr) {
-  using V = typename Graph::vertex_id;
-  if (!g.has_reverse()) {
-    throw std::invalid_argument(
-        "hybrid_cc: graph has no reverse view (ensure_reverse / "
-        "open_reverse first)");
-  }
-  const double alpha = opts.hybrid_alpha;
-  const double beta = opts.hybrid_beta;
-  visitor_queue_config cfg =
-      engine::process_default().pooled_config(std::move(opts));
-  frontier_estimator est(alpha, beta);
-  cfg.estimator = &est;
-
-  const std::uint64_t n = g.num_vertices();
-  hybrid_cc_state<Graph> s(g, cfg.num_threads);
-
-  hybrid_extra detail_out;
-  queue_run_stats agg;
-
-  // Initialization to the own id is every vertex's first relaxation (the
-  // async seeding does the same against the invalid init label), so the
-  // aggregate work proxies stay well-defined: updates >= n, and
-  // cc_result::work()'s label_corrections = updates - n never wraps.
-  s.updates.add(0, n);
-  agg.visits += n;
-
-  std::vector<V> scratch(s.ccid);  // double buffer for the Jacobi sweeps
-  std::vector<V> changed_last;
-  std::uint64_t changed = n;
-  std::uint64_t sweep_idx = 0;
-  while (changed != 0 && (sweep_idx == 0 || est.stay_bottom_up(changed, n))) {
-    const std::uint64_t inspected_before = s.inspected.total();
-    std::vector<padded<std::vector<V>>> changed_lists(cfg.num_threads);
-    std::vector<padded<std::uint64_t>> scanned(cfg.num_threads);
-    detail::hybrid_parallel_ranges(
-        cfg.pool, cfg.num_threads, n,
-        [&](std::size_t tid, std::uint64_t b, std::uint64_t e) {
-          std::uint64_t local_scanned = 0;
-          for (std::uint64_t v = b; v < e; ++v) {
-            V m = s.ccid[v];
-            g.for_each_in_edge(static_cast<V>(v), [&](V u, weight_t) {
-              ++local_scanned;
-              if (s.ccid[u] < m) m = s.ccid[u];
-            });
-            scratch[v] = m;
-            if (m < s.ccid[v]) {
-              changed_lists[tid].value.push_back(static_cast<V>(v));
-            }
-          }
-          scanned[tid].value += local_scanned;
-        });
-    std::swap(s.ccid, scratch);
-    changed = 0;
-    changed_last.clear();
-    for (std::size_t t = 0; t < cfg.num_threads; ++t) {
-      s.inspected.add(0, scanned[t].value);
-      changed += changed_lists[t].value.size();
-      changed_last.insert(changed_last.end(), changed_lists[t].value.begin(),
-                          changed_lists[t].value.end());
-    }
-    s.updates.add(0, changed);
-    agg.visits += changed;
-    telemetry::metric_scope::count_edges(s.inspected.total() -
-                                         inspected_before);
-    ++sweep_idx;
-    est.sample(changed);
-    detail_out.phases.push_back({"bottom-up", sweep_idx,
-                                 s.inspected.total() - inspected_before,
-                                 changed});
-  }
-
-  if (changed != 0) {
-    // Asynchronous push tail from the final sweep's changed set.
-    ++detail_out.direction_switches;
-    const std::uint64_t inspected_before = s.inspected.total();
-    visitor_queue<hybrid_cc_visitor<V>, hybrid_cc_state<Graph>> q(cfg);
-    for (const V v : changed_last) {
-      q.push(hybrid_cc_visitor<V>{v, s.ccid[v], true});
-    }
-    detail::hybrid_accumulate(agg, q.run(s));
-    detail_out.phases.push_back({"async-tail", sweep_idx + 1,
-                                 s.inspected.total() - inspected_before, 0});
-  }
-
-  detail_out.edge_inspections = s.inspected.total();
-  detail::hybrid_record_metrics(cfg.metrics, detail_out, "hybrid_cc");
-  if (extra != nullptr) *extra = std::move(detail_out);
-
-  cc_result<V> out;
-  out.component = std::move(s.ccid);
-  out.stats = std::move(agg);
-  out.updates = s.updates.total();
-  if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "hybrid_cc");
-  return out;
+  return engine::process_default()
+      .submit_hybrid_cc(g, extra, std::move(opts))
+      .get();
 }
 
 }  // namespace asyncgt

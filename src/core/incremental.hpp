@@ -263,12 +263,20 @@ void require_reverse_for_deletes(const overlay_view<Graph>& g,
   }
 }
 
-template <typename Graph>
-void publish_overlay_gauges(telemetry::metrics_registry* metrics,
-                            const overlay_view<Graph>& g,
-                            std::uint64_t reseeded) {
+/// Hands the plan's accounting to the caller's extra (synchronously, at
+/// submit) and publishes the overlay gauges.
+template <typename Graph, typename VertexId>
+void publish_plan(incremental_extra* extra,
+                  telemetry::metrics_registry* metrics,
+                  const overlay_view<Graph>& g,
+                  const repair_plan<VertexId>& plan) {
+  if (extra != nullptr) {
+    extra->affected = plan.affected;
+    extra->reseeded_vertices = plan.reseeded;
+    extra->repair_visits = 0;
+  }
   if (metrics == nullptr) return;
-  metrics->get_counter("incremental.reseeded_vertices").add(0, reseeded);
+  metrics->get_counter("incremental.reseeded_vertices").add(0, plan.reseeded);
   const overlay_counters oc = g.overlay().counters();
   metrics->get_gauge("overlay.live_inserts")
       .set(static_cast<std::int64_t>(oc.live_inserts));
@@ -278,6 +286,16 @@ void publish_overlay_gauges(telemetry::metrics_registry* metrics,
       .set(static_cast<std::int64_t>(oc.patched_pairs));
   metrics->get_gauge("overlay.epoch")
       .record_max(static_cast<std::int64_t>(oc.epoch));
+}
+
+/// Records a finished repair's visit count (called from finalize).
+inline void record_repair(incremental_extra* extra,
+                          telemetry::metrics_registry* metrics,
+                          const queue_run_stats& stats) {
+  if (extra != nullptr) extra->repair_visits = stats.visits;
+  if (metrics != nullptr) {
+    metrics->get_counter("incremental.repair_visits").add(0, stats.visits);
+  }
 }
 
 }  // namespace incr_detail
@@ -306,12 +324,7 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_incremental_bfs(
 
   auto plan = incr_detail::plan_distance_repair<true>(g, delta, prior.level,
                                                       prior.parent);
-  if (extra != nullptr) {
-    extra->affected = plan.affected;
-    extra->reseeded_vertices = plan.reseeded;
-    extra->repair_visits = 0;
-  }
-  incr_detail::publish_overlay_gauges(metrics, g, plan.reseeded);
+  incr_detail::publish_plan(extra, metrics, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
@@ -319,29 +332,18 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_incremental_bfs(
   state.parent = std::move(prior.parent);
 
   auto tj = make_typed_job<bfs_visitor<V>>(
-      opts, std::move(state),
+      opts, std::move(state), run_once,
       [metrics, extra](state_t& s, queue_run_stats stats) {
-        if (extra != nullptr) extra->repair_visits = stats.visits;
-        if (metrics != nullptr) {
-          metrics->get_counter("incremental.repair_visits")
-              .add(0, stats.visits);
-        }
-        bfs_result<V> out;
-        out.level = std::move(s.level);
-        out.parent = std::move(s.parent);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) out.work().record(*metrics, "incremental_bfs");
-        return out;
+        incr_detail::record_repair(extra, metrics, stats);
+        return take_bfs_result(s, std::move(stats), metrics,
+                               "incremental_bfs");
       },
       "incremental_bfs");
   tj->scope->delta_epoch = g.epoch();
   for (const auto& [x, src, d] : plan.seeds) {
     tj->queue.push(bfs_visitor<V>{x, src, d});
   }
-  return start_job(tj, [this](auto& jq, auto& jstate, auto done) {
-    jq.run_async(pool_, jstate, std::move(done));
-  });
+  return start_job(std::move(tj));
 }
 
 /// Repairs a prior SSSP fixed point to the view's pinned epoch; see
@@ -366,12 +368,7 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_incremental_sssp(
 
   auto plan = incr_detail::plan_distance_repair<false>(g, delta, prior.dist,
                                                        prior.parent);
-  if (extra != nullptr) {
-    extra->affected = plan.affected;
-    extra->reseeded_vertices = plan.reseeded;
-    extra->repair_visits = 0;
-  }
-  incr_detail::publish_overlay_gauges(metrics, g, plan.reseeded);
+  incr_detail::publish_plan(extra, metrics, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
@@ -379,31 +376,18 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_incremental_sssp(
   state.parent = std::move(prior.parent);
 
   auto tj = make_typed_job<sssp_visitor<V>>(
-      opts, std::move(state),
+      opts, std::move(state), run_once,
       [metrics, extra](state_t& s, queue_run_stats stats) {
-        if (extra != nullptr) extra->repair_visits = stats.visits;
-        if (metrics != nullptr) {
-          metrics->get_counter("incremental.repair_visits")
-              .add(0, stats.visits);
-        }
-        sssp_result<V> out;
-        out.dist = std::move(s.dist);
-        out.parent = std::move(s.parent);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) {
-          out.work().record(*metrics, "incremental_sssp");
-        }
-        return out;
+        incr_detail::record_repair(extra, metrics, stats);
+        return take_sssp_result(s, std::move(stats), metrics,
+                                "incremental_sssp");
       },
       "incremental_sssp");
   tj->scope->delta_epoch = g.epoch();
   for (const auto& [x, src, d] : plan.seeds) {
     tj->queue.push(sssp_visitor<V>{x, src, d});
   }
-  return start_job(tj, [this](auto& jq, auto& jstate, auto done) {
-    jq.run_async(pool_, jstate, std::move(done));
-  });
+  return start_job(std::move(tj));
 }
 
 /// Repairs a prior CC fixed point to the view's pinned epoch. The batch
@@ -428,31 +412,17 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_incremental_cc(
   telemetry::metrics_registry* metrics = resolve_metrics(opts);
 
   auto plan = incr_detail::plan_cc_repair(g, delta, prior.component);
-  if (extra != nullptr) {
-    extra->affected = plan.affected;
-    extra->reseeded_vertices = plan.reseeded;
-    extra->repair_visits = 0;
-  }
-  incr_detail::publish_overlay_gauges(metrics, g, plan.reseeded);
+  incr_detail::publish_plan(extra, metrics, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
   state.ccid = std::move(prior.component);
 
   auto tj = make_typed_job<cc_visitor<V>>(
-      opts, std::move(state),
+      opts, std::move(state), run_once,
       [metrics, extra](state_t& s, queue_run_stats stats) {
-        if (extra != nullptr) extra->repair_visits = stats.visits;
-        if (metrics != nullptr) {
-          metrics->get_counter("incremental.repair_visits")
-              .add(0, stats.visits);
-        }
-        cc_result<V> out;
-        out.component = std::move(s.ccid);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        if (metrics != nullptr) out.work().record(*metrics, "incremental_cc");
-        return out;
+        incr_detail::record_repair(extra, metrics, stats);
+        return take_cc_result(s, std::move(stats), metrics, "incremental_cc");
       },
       "incremental_cc");
   tj->scope->delta_epoch = g.epoch();
@@ -460,9 +430,7 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_incremental_cc(
     (void)unused;
     tj->queue.push(cc_visitor<V>{x, id});
   }
-  return start_job(tj, [this](auto& jq, auto& jstate, auto done) {
-    jq.run_async(pool_, jstate, std::move(done));
-  });
+  return start_job(std::move(tj));
 }
 
 // ---- One-shot wrappers over the process-local engine (submit + get) ----

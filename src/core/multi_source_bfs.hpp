@@ -42,12 +42,7 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_multi_source_bfs(
         for (const V s : sources) q.push(bfs_visitor<V>{s, s, 0});
       },
       [](bfs_state<Graph>& s, queue_run_stats stats) {
-        bfs_result<V> out;
-        out.level = std::move(s.level);
-        out.parent = std::move(s.parent);
-        out.stats = std::move(stats);
-        out.updates = s.updates.total();
-        return out;
+        return take_bfs_result(s, std::move(stats), nullptr, "msbfs");
       },
       "msbfs");
 }

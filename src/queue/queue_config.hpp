@@ -98,14 +98,15 @@ struct visitor_queue_config {
   /// one when requested (docs/hot_blocks.md).
   hot_advisor* advisor = nullptr;
 
-  /// Borrowed worker pool (nullable). When set, run()/run_seeded() dispatch
-  /// their worker bodies as a gang on this pool — acquire/release of parked
-  /// threads — instead of spawning and joining `num_threads` fresh
-  /// std::threads per run. asyncgt::engine sets this on every job config it
-  /// prepares; null reproduces the one-shot spawn/join lifecycle.
+  /// Borrowed worker pool (required): every run is one gang of its parked
+  /// threads. asyncgt::engine sets it on each job config; queue-layer tests
+  /// and micro benches bring their own.
   service::worker_pool* pool = nullptr;
 
   void validate() const {
+    if (pool == nullptr) {
+      throw std::invalid_argument("visitor_queue: needs a worker pool");
+    }
     if (num_threads == 0) {
       throw std::invalid_argument("visitor_queue: need at least one thread");
     }

@@ -30,6 +30,22 @@ struct queue_run_stats {
   /// Per-queue visit counts, for load-balance analysis (hash ablation).
   std::vector<std::uint64_t> visits_per_queue;
 
+  /// Folds another run's counters in (a phased job's total). Not elapsed
+  /// time: the engine times the whole job, not the sum of its runs.
+  void merge(const queue_run_stats& o) {
+    visits += o.visits;
+    pushes += o.pushes;
+    flushes += o.flushes;
+    wakeups += o.wakeups;
+    hot_pops += o.hot_pops;
+    max_queue_length = std::max(max_queue_length, o.max_queue_length);
+    visits_per_queue.resize(
+        std::max(visits_per_queue.size(), o.visits_per_queue.size()));
+    for (std::size_t i = 0; i < o.visits_per_queue.size(); ++i) {
+      visits_per_queue[i] += o.visits_per_queue[i];
+    }
+  }
+
   /// Coefficient of variation of visits across queues: 0 = perfectly even.
   /// An empty or single-queue run has no spread to measure, so it reports
   /// 0.0 rather than leaning on summary_stats' degenerate-input behaviour.

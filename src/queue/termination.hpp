@@ -56,7 +56,7 @@ class termination_detector {
  public:
   /// Pre-accounts n visitors. MUST be called before the visitors become
   /// visible in any mailbox (reserve-then-deliver), so the counter never
-  /// undercounts live work. Also used by run_seeded() to credit all seeds
+  /// undercounts live work. Also used by seeded runs to credit all seeds
   /// up front: a fast worker cannot drive the counter to zero while another
   /// worker is still seeding its slice.
   void reserve(std::int64_t n) noexcept {

@@ -2,13 +2,13 @@
 //
 // Before this layer existed, an exception escaping a worker thread (one
 // transient EIO in the SEM read path, a bad_alloc in a drain) hit the
-// std::thread boundary and std::terminate'd the process — forfeiting a
+// thread boundary and std::terminate'd the process — forfeiting a
 // traversal the paper budgets 10,000+ seconds for. Now every worker runs
 // under a catch-all: the first error is latched with its thread and vertex
 // context, a cancellation flag wakes and unwinds every other worker
-// (termination.hpp), the engine joins cleanly and resets its queue state,
-// and the error re-emerges on the *calling* thread as this exception — the
-// identical contract for in-memory and semi-external runs.
+// (termination.hpp), the gang completes cleanly, the queue state is reset,
+// and the error re-emerges from the job handle's get() as this exception —
+// the identical contract for in-memory and semi-external runs.
 //
 // The partially computed algorithm state survives the abort untouched: for
 // label-correcting traversals it is a valid intermediate state, which is

@@ -27,24 +27,22 @@
 // is latched with its thread/vertex context, the termination layer's abort
 // flag is raised and broadcast through the parking protocol (wake_all), so
 // every worker — including ones asleep on their mailbox — unwinds promptly.
-// After the join, the engine resets all queue state (mailbox slabs, private
-// ordering structures, outboxes, the in-flight counter) and rethrows the
-// latched error as traversal_aborted on the calling thread. The queue is
-// reusable afterwards, and the algorithm state the visitors were mutating
-// is quiescent and internally consistent (per-vertex entries are only ever
-// written by their owner, and all owners have joined). Cooperative
+// When the gang completes, the engine resets all queue state (mailbox
+// slabs, private ordering structures, outboxes, the in-flight counter) and
+// hands the latched error, packaged as traversal_aborted, to the run's
+// completion callback. The queue is reusable afterwards, and the algorithm
+// state the visitors were mutating is quiescent and internally consistent
+// (per-vertex entries are only ever written by their owner, and all owners
+// have returned). Cooperative
 // cancellation (request_cancel, used by the service layer's job handles)
 // rides the same abort broadcast and containment machinery.
 //
-// Execution substrates. When the config carries a worker pool
-// (visitor_queue_config::pool, set by asyncgt::engine), a run dispatches
-// its worker bodies as one gang of pooled, parked threads — acquire/release
-// instead of spawn/join — and the run_async/run_seeded_async entry points
-// additionally return immediately, delivering stats or the failure to a
-// completion callback on the pool thread that finishes the gang. With a
-// null pool, run()/run_seeded() reproduce the one-shot spawn/join
-// lifecycle (now with an exception-safe RAII join: a throw between spawn
-// and join can no longer detach workers).
+// Execution substrate. Every run is one gang on the config's worker pool
+// (visitor_queue_config::pool) and returns immediately; stats or the
+// failure reach a completion callback on the pool thread that finishes the
+// gang. The same lanes serve gang sweeps (sweep_async), which is how the
+// engine's phased jobs mix bulk passes with asynchronous runs
+// (docs/service_api.md).
 #pragma once
 
 #include <algorithm>
@@ -55,7 +53,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -97,7 +94,7 @@ class traversal_engine {
   traversal_engine(const traversal_engine&) = delete;
   traversal_engine& operator=(const traversal_engine&) = delete;
 
-  /// External (non-worker) enqueue: callable before/after run(). Counts as
+  /// External (non-worker) enqueue: callable between runs. Counts as
   /// one push and one flush — there is no outbox to amortize through.
   void push_external(Visitor&& v) {
     term_.reserve(1);
@@ -112,19 +109,13 @@ class traversal_engine {
     boxes_[route_(v.vertex())].deliver_one(std::move(v));
   }
 
-  /// Runs until quiescent over whatever was pushed externally. If any
-  /// worker's body throws, every worker is unwound, the queue state is
-  /// reset, and the first error rethrows here as traversal_aborted.
-  queue_run_stats run(State& state) {
-    wall_timer timer;
-    if (term_.pending() == 0 &&
-        cancel_reason_.load(std::memory_order_relaxed) == 0) {
-      return finalize_stats(timer.elapsed_seconds());
-    }
-    arm();
-    launch(state, [](std::size_t) {});
-    throw_if_aborted();
-    return finalize_stats(timer.elapsed_seconds());
+  /// Runs until quiescent over whatever was pushed externally, as one gang
+  /// on the pool; `done(stats, error)` runs once on the finishing pool
+  /// thread (inline for an empty frontier) — on an abort with zero stats
+  /// and take_failure's error, the queue reset and reusable.
+  template <typename Done>
+  void run_async(State& state, Done done) {
+    launch_run(state, 0, [](std::size_t) {}, std::move(done));
   }
 
   /// Seeded run: one visitor per vertex in [0, num_vertices) (CC, paper
@@ -134,65 +125,44 @@ class traversal_engine {
   /// zero while another worker is still seeding its slice. Each worker
   /// seeds the contiguous slice [t*n/T, (t+1)*n/T) — through its own outbox
   /// buffers, so seeding enjoys the same batched delivery — and then joins
-  /// processing.
-  ///
-  /// `make_visitor` is invoked as const from all workers concurrently; it
-  /// must be const-callable and thread-safe (a mutable functor is rejected
-  /// at compile time rather than racing silently).
-  template <typename MakeVisitor>
-  queue_run_stats run_seeded(State& state, std::uint64_t num_vertices,
-                             MakeVisitor&& make_visitor) {
-    wall_timer timer;
-    if (num_vertices == 0) return finalize_stats(timer.elapsed_seconds());
-    const std::remove_reference_t<MakeVisitor>& make = make_visitor;
-    term_.reserve(static_cast<std::int64_t>(num_vertices));
-    arm();
-    launch(state, [this, &make, num_vertices](std::size_t t) {
-      seed_slice(make, num_vertices, t);
-    });
-    throw_if_aborted();
-    return finalize_stats(timer.elapsed_seconds());
-  }
-
-  /// Asynchronous run: dispatches the workers as one gang on `pool` and
-  /// returns immediately. `done(stats, error)` runs exactly once, on the
-  /// pool thread that finishes the gang (or inline here for an empty
-  /// frontier): error is null on a clean run, otherwise a traversal_aborted
-  /// exception_ptr carrying the same context run() would have thrown —
-  /// stats are the post-reset zeros in that case. The caller must keep
-  /// `state` and this engine alive until `done` has been invoked.
-  template <typename Done>
-  void run_async(service::worker_pool& pool, State& state, Done done) {
-    wall_timer timer;
-    arm();
-    if (term_.pending() == 0 && !term_.abort_requested()) {
-      finish_async(timer, done);
-      return;
-    }
-    dispatch_async(pool, state, [](std::size_t) {}, std::move(done), timer);
-  }
-
-  /// Asynchronous seeded run; see run_seeded for the seeding discipline and
-  /// run_async for the completion contract. `make_visitor` is copied into
-  /// the gang and invoked as const from all workers concurrently.
+  /// processing. `make_visitor` is invoked as const from all workers
+  /// concurrently (a mutable functor is rejected at compile time rather
+  /// than racing silently). Completion as run_async.
   template <typename MakeVisitor, typename Done>
-  void run_seeded_async(service::worker_pool& pool, State& state,
-                        std::uint64_t num_vertices, MakeVisitor make_visitor,
-                        Done done) {
-    wall_timer timer;
-    term_.reserve(static_cast<std::int64_t>(num_vertices));
-    arm();
-    if (num_vertices == 0 && !term_.abort_requested()) {
-      finish_async(timer, done);
-      return;
-    }
+  void run_seeded_async(State& state, std::uint64_t num_vertices,
+                        MakeVisitor make_visitor, Done done) {
     auto make = std::make_shared<const MakeVisitor>(std::move(make_visitor));
-    dispatch_async(
-        pool, state,
+    launch_run(
+        state, num_vertices,
         [this, make, num_vertices](std::size_t t) {
           seed_slice(*make, num_vertices, t);
         },
-        std::move(done), timer);
+        std::move(done));
+  }
+
+  /// Gang sweep: lane t calls `body(t, begin, end)` over its slice
+  /// [t*n/T, (t+1)*n/T) of [0, n), in chunks of sweep_chunk with an abort
+  /// check between them, under the run's attribution and failure latch.
+  /// No visitor moves: `done` gets zero stats and run_async's error
+  /// contract.
+  template <typename Body, typename Done>
+  void sweep_async(std::uint64_t n, Body body, Done done) {
+    arm();
+    auto b = std::make_shared<const Body>(std::move(body));
+    auto done_fn = std::make_shared<Done>(std::move(done));
+    cfg_.pool->submit(
+        cfg_.num_threads,
+        [this, b, n](std::size_t t) {
+          const std::uint64_t hi = n * (t + 1) / cfg_.num_threads;
+          run_lane(t, [&] {
+            for (std::uint64_t lo = n * t / cfg_.num_threads; lo < hi;
+                 lo += sweep_chunk) {
+              if (term_.abort_requested()) return;
+              (*b)(t, lo, std::min(hi, lo + sweep_chunk));
+            }
+          });
+        },
+        [this, done_fn] { (*done_fn)(queue_run_stats{}, take_failure()); });
   }
 
   /// Cooperative cancellation: raises the abort flag and wakes every parked
@@ -239,7 +209,7 @@ class traversal_engine {
     bool seeding = false;         // outbox contents already pre-accounted
     // Failure context: maintained by the owning thread around each visit and
     // read back by record_failure on that same thread (from the catch in
-    // launch), so no synchronization is needed.
+    // run_lane), so no synchronization is needed.
     std::uint64_t cur_vertex = 0;
     bool visiting = false;
     std::uint64_t visits = 0;
@@ -270,21 +240,16 @@ class traversal_engine {
     }
   }
 
-  /// One worker's whole run: per-thread seed hook, worker loop, catch-all
-  /// at the boundary — an escaping exception would std::terminate the
-  /// process (std::thread) or poison the pool; latch it and unwind everyone
-  /// instead.
-  template <typename SeedSlice>
-  void run_worker(State& state, const SeedSlice& seed, std::size_t t) {
-    // Ambient per-job attribution: everything this worker does — including
-    // I/O recorded deep inside shared components — is charged to the job's
-    // scope through TLS for the duration of the body. The first worker in
-    // also stamps the job's queue-wait -> run transition.
+  /// One lane's gang item. Everything it does — including I/O recorded
+  /// deep inside shared components — is charged to the job's scope through
+  /// TLS; the first lane in stamps the job's run start. An escaping
+  /// exception is latched and unwinds every lane instead of the pool thread.
+  template <typename Body>
+  void run_lane(std::size_t t, const Body& body) {
     telemetry::metric_scope::attribution attr(cfg_.scope, t);
     if (cfg_.scope != nullptr) cfg_.scope->mark_run_start();
     try {
-      seed(t);
-      worker_loop(state, t);
+      body();
     } catch (...) {
       record_failure(t, std::current_exception());
     }
@@ -314,62 +279,26 @@ class traversal_engine {
     me.seeding = false;
   }
 
-  /// Single blocking driver for both run flavours. With a pooled config
-  /// this is acquire/release of parked workers (one gang, FIFO-scheduled
-  /// against other jobs sharing the pool); without one it spawns and joins
-  /// fresh threads, with an RAII guard so a throw between spawn and join —
-  /// e.g. thread-resource exhaustion partway through the spawn loop — can
-  /// never reach a joinable std::thread's destructor (std::terminate).
-  template <typename SeedSlice>
-  void launch(State& state, const SeedSlice& seed) {
-    if (cfg_.pool != nullptr) {
-      cfg_.pool->wait(cfg_.pool->submit(
-          cfg_.num_threads,
-          [this, &state, &seed](std::size_t t) { run_worker(state, seed, t); }));
+  /// Driver of both run flavours: pre-accounts `seeds`, then finishes
+  /// inline for an empty frontier or dispatches one gang whose lanes run
+  /// `seed(t)` and the worker loop.
+  template <typename Seed, typename Done>
+  void launch_run(State& state, std::uint64_t seeds, Seed seed, Done done) {
+    wall_timer timer;
+    term_.reserve(static_cast<std::int64_t>(seeds));
+    arm();
+    if (term_.pending() == 0 && !term_.abort_requested()) {
+      finish_async(timer, done);
       return;
     }
-    struct joiner {
-      traversal_engine* eng;
-      std::vector<std::thread> threads;
-      ~joiner() {
-        if (threads.size() < eng->cfg_.num_threads) {
-          // Spawn failed partway: the missing lanes will never flush or
-          // commit, so the started workers could not reach quiescence —
-          // unwind them through the abort broadcast before joining, then
-          // restore the queue to a reusable state (the spawn failure
-          // itself propagates to the caller; any failure a half-started
-          // worker latched meanwhile is superseded by it).
-          eng->term_.request_abort();
-          wake_all(eng->boxes_);
-          for (auto& th : threads) th.join();
-          {
-            std::lock_guard lk(eng->fail_mu_);
-            eng->fail_ = failure{};
-          }
-          eng->cancel_reason_.store(0, std::memory_order_relaxed);
-          eng->reset_after_abort();
-          return;
-        }
-        for (auto& th : threads) th.join();
-      }
-    } guard{this, {}};
-    guard.threads.reserve(cfg_.num_threads);
-    for (std::size_t t = 0; t < cfg_.num_threads; ++t) {
-      guard.threads.emplace_back(
-          [this, &state, &seed, t] { run_worker(state, seed, t); });
-    }
-  }
-
-  /// Common tail of the async entry points: one gang whose completion hook
-  /// collects the failure latch, finalizes stats, and invokes `done`.
-  template <typename SeedSlice, typename Done>
-  void dispatch_async(service::worker_pool& pool, State& state,
-                      SeedSlice seed, Done done, const wall_timer& timer) {
     auto done_fn = std::make_shared<Done>(std::move(done));
-    pool.submit(
+    cfg_.pool->submit(
         cfg_.num_threads,
         [this, &state, seed = std::move(seed)](std::size_t t) {
-          run_worker(state, seed, t);
+          run_lane(t, [&] {
+            seed(t);
+            worker_loop(state, t);
+          });
         },
         [this, timer, done_fn] { finish_async(timer, *done_fn); });
   }
@@ -410,7 +339,7 @@ class traversal_engine {
     if (buf.empty()) return;
     if (!me.seeding) term_.reserve(static_cast<std::int64_t>(buf.size()));
     // Advised before delivery (see push_external); covers seeded visitors
-    // too, so pressure conservation holds for run() and run_seeded alike.
+    // too, so pressure conservation holds for plain and seeded runs alike.
     if (cfg_.advisor != nullptr) {
       for (const Visitor& v : buf) {
         cfg_.advisor->on_enqueue(static_cast<std::uint64_t>(v.vertex()));
@@ -471,7 +400,7 @@ class traversal_engine {
     Visitor v{};
     for (;;) {
       // A failed worker raised the abort flag: unwind without flushing or
-      // committing — the engine resets all queue state after the join.
+      // committing — the engine resets all queue state at gang completion.
       if (term_.abort_requested()) return;
       // Merge arrivals at batch granularity: one relaxed load per pop, a
       // lock only when a sender actually delivered.
@@ -548,7 +477,7 @@ class traversal_engine {
     wake_all(boxes_);
   }
 
-  /// Called on the failing worker's own thread (from the catch in launch):
+  /// Called on the failing worker's own thread (from the catch in run_lane):
   /// latches the FIRST error with its thread/vertex context, then raises
   /// the abort flag and broadcasts it so parked workers wake and unwind.
   void record_failure(std::size_t tid, std::exception_ptr ep) {
@@ -565,7 +494,7 @@ class traversal_engine {
     wake_all(boxes_);
   }
 
-  /// After the join: if the run aborted — a worker failed or a cancel was
+  /// At gang completion: if the run aborted — a worker failed or a cancel was
   /// requested — discard all queue state (every structure a worker
   /// abandoned mid-run) and return the latched error packaged as a
   /// traversal_aborted exception_ptr; null on a clean run. A cancel that
@@ -636,14 +565,9 @@ class traversal_engine {
     (void)cfg_.trace->flush();
   }
 
-  /// Blocking-path shim over take_failure: rethrows on the calling thread.
-  void throw_if_aborted() {
-    if (std::exception_ptr ep = take_failure()) std::rethrow_exception(ep);
-  }
-
   /// Restores the engine to its post-construction state after an abort left
   /// visitors stranded in mailboxes, outboxes, and private structures. Only
-  /// called after every worker joined, so plain writes suffice for lane
+  /// called after every lane returned, so plain writes suffice for lane
   /// state; mailbox slabs are cleared under their own mutex for the atomics'
   /// sake (external observers may still call queue_depths()).
   void reset_after_abort() {
@@ -733,6 +657,9 @@ class traversal_engine {
     bool has_vertex = false;
     std::uint64_t vertex = 0;
   };
+
+  /// Sweep granularity: the abort flag is checked once per chunk.
+  static constexpr std::uint64_t sweep_chunk = 4096;
 
   visitor_queue_config cfg_;
   vertex_router route_;

@@ -21,7 +21,7 @@
 //                          acquisition) and the sleep/wake protocol
 //   termination.hpp      — the in-flight counter and its batching-aware
 //                          quiescence proof
-//   traversal_engine.hpp — the worker loop and the single run driver
+//   traversal_engine.hpp — the worker loop and the pooled run driver
 //
 // Asynchrony. There are no barriers or level synchronizations anywhere;
 // every worker pops its locally-best visitor and runs it immediately.
@@ -36,7 +36,7 @@
 // saturate a flash device.
 //
 // Observability. The config optionally carries telemetry sinks (see
-// docs/observability.md): a metrics_registry that run() flushes its counters
+// docs/observability.md): a metrics_registry each run flushes its counters
 // into, a trace_writer that receives per-visit spans sampled 1-in-N plus
 // worker sleep spans, and a sampler that gets queue-depth / pending probes
 // registered for the duration of the run. All sinks default to null and the
@@ -64,6 +64,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -106,9 +107,9 @@ class visitor_queue {
 
   ~visitor_queue() { unregister_probes(); }
 
-  /// Enqueues a visitor. Callable from the outside before/after run();
-  /// visitors running inside run() push through the per-worker handle they
-  /// receive, not through this method.
+  /// Enqueues a visitor from outside a run (seeding); visitors running
+  /// inside a run push through the per-worker handle they receive, not
+  /// through this method.
   void push(const Visitor& v) { push(Visitor(v)); }
 
   /// Move overload: visitors constructed in place (the common case in the
@@ -117,79 +118,43 @@ class visitor_queue {
     with_engine([&](auto& e) { e.push_external(std::move(v)); });
   }
 
-  /// Runs until quiescent: spawns the worker threads, processes every queued
-  /// visitor (and all transitively pushed ones), joins, and returns stats.
-  /// `state` is shared mutable algorithm state; per-vertex entries are only
-  /// ever touched by their owner thread, which is what makes this safe.
-  ///
-  /// If a worker's body throws (an io_error from a semi-external read, a
-  /// throwing visitor, an allocation failure), every worker is woken and
-  /// unwound, queue state is reset, and the first error rethrows here as
-  /// traversal_aborted — the queue remains usable for another run. The
-  /// sampler probes are unregistered on both paths, so a dangling probe
-  /// never outlives an aborted run.
-  queue_run_stats run(State& state) {
+  /// Runs to quiescence as one gang on cfg.pool and returns at once;
+  /// `done(stats, error)` runs once on the finishing pool thread, after the
+  /// sampler probes are unregistered. `state` is shared mutable algorithm
+  /// state, safe because per-vertex entries are only touched by their
+  /// owner thread. error is a traversal_aborted when a body threw (an
+  /// io_error, a throwing visitor, bad_alloc) or the run was cancelled;
+  /// the queue is reset and reusable. Keep `state` and the queue alive
+  /// until `done` ran (asyncgt::engine does; docs/service_api.md).
+  template <typename Done>
+  void run_async(State& state, Done done) {
     register_probes();
-    try {
-      auto stats = with_engine([&](auto& e) { return e.run(state); });
-      unregister_probes();
-      return stats;
-    } catch (...) {
-      unregister_probes();
-      throw;
-    }
+    with_engine(
+        [&](auto& e) { e.run_async(state, wrap_done(std::move(done))); });
   }
 
   /// Seeded run for algorithms that start one visitor per vertex (CC,
-  /// PageRank, k-core). `make_visitor` is invoked as const from all workers
-  /// concurrently — it must be const-callable (mutable functors are
-  /// rejected at compile time) and thread-safe; each worker seeds the
-  /// contiguous slice [t*n/T, (t+1)*n/T) and then joins processing. See
-  /// traversal_engine::run_seeded for the pre-accounting argument.
-  template <typename MakeVisitor>
-  queue_run_stats run_seeded(State& state, std::uint64_t num_vertices,
-                             MakeVisitor&& make_visitor) {
-    register_probes();
-    try {
-      auto stats = with_engine([&](auto& e) {
-        return e.run_seeded(state, num_vertices,
-                            std::forward<MakeVisitor>(make_visitor));
-      });
-      unregister_probes();
-      return stats;
-    } catch (...) {
-      unregister_probes();
-      throw;
-    }
-  }
-
-  /// Asynchronous run: dispatches the workers as one gang on `pool` and
-  /// returns immediately. `done(stats, error)` is invoked exactly once —
-  /// on the pool thread finishing the gang (or inline for an empty
-  /// frontier) — with error null on success, else a traversal_aborted
-  /// exception_ptr. Sampler probes are registered for the duration and
-  /// unregistered before `done` runs, on every path. The caller must keep
-  /// `state` and this queue alive until then (asyncgt::engine's job
-  /// machinery does; see docs/service_api.md).
-  template <typename Done>
-  void run_async(service::worker_pool& pool, State& state, Done done) {
+  /// PageRank, k-core): `make_visitor` is copied into the gang and called
+  /// as const, concurrently, by every worker on its slice of [0, n) — it
+  /// must be const-callable and thread-safe (traversal_engine::
+  /// run_seeded_async has the pre-accounting argument). Completion as
+  /// run_async.
+  template <typename MakeVisitor, typename Done>
+  void run_seeded_async(State& state, std::uint64_t num_vertices,
+                        MakeVisitor make_visitor, Done done) {
     register_probes();
     with_engine([&](auto& e) {
-      e.run_async(pool, state, wrap_done(std::move(done)));
+      e.run_seeded_async(state, num_vertices, std::move(make_visitor),
+                         wrap_done(std::move(done)));
     });
   }
 
-  /// Asynchronous seeded run; see run_seeded for the make_visitor contract
-  /// (const-callable, thread-safe — it is copied into the gang) and
-  /// run_async for the completion contract.
-  template <typename MakeVisitor, typename Done>
-  void run_seeded_async(service::worker_pool& pool, State& state,
-                        std::uint64_t num_vertices, MakeVisitor make_visitor,
-                        Done done) {
-    register_probes();
+  /// Gang sweep `body(tid, begin, end)` over lane slices of [0, n); see
+  /// traversal_engine::sweep_async.
+  template <typename Body, typename Done>
+  void sweep_async(std::uint64_t n, Body body, Done done) {
     with_engine([&](auto& e) {
-      e.run_seeded_async(pool, state, num_vertices, std::move(make_visitor),
-                         wrap_done(std::move(done)));
+      e.sweep_async(n, std::move(body), std::move(done));
     });
   }
 

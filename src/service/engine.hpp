@@ -1,12 +1,8 @@
 // asyncgt::engine — the session-based public API of the traversal service.
 //
-// The seed library answered one query per call: every async_* free function
-// built a fresh visitor_queue, spawned its full thread complement, joined
-// it, and threw everything away. This header turns that into a persistent
-// service: an engine owns a long-lived worker_pool (threads parked between
-// jobs, never re-spawned — see service/worker_pool.hpp for the gang
-// scheduler that doubles as the job admission policy), and queries become
-// *jobs*:
+// An engine owns a long-lived worker_pool (threads parked between jobs,
+// never re-spawned — see service/worker_pool.hpp for the gang scheduler
+// that doubles as the job admission policy), and queries become *jobs*:
 //
 //   asyncgt::engine eng({.pool_threads = 16});
 //   auto j1 = eng.submit_bfs(g, 0);
@@ -31,17 +27,20 @@
 // and service.pool.spawned_threads gauge into whichever registry the job
 // carries — a warm engine shows the gauge frozen at the pool width.
 //
-// The async_* free functions remain as one-shot wrappers over
-// engine::process_default() — submit + get — so all pre-service call sites
-// keep their exact signatures and exception contracts while transparently
-// sharing the process-wide pool.
+// One run path: every job is a phased job (submit_phased) — queue runs and
+// gang sweeps over one state and one queue, chained from the pool thread
+// that finished the previous phase — so admission, the watchdog,
+// job_stats, lifecycle spans, and the service ledger cover every run. The
+// free functions (async_bfs, hybrid_bfs, ...) are submit + get() wrappers
+// over engine::process_default().
 //
 // Layering: this header sits between the queue layer and the algorithm
 // headers. engine::submit_bfs/sssp/cc/... are declared here but *defined*
 // in the matching core/*.hpp (which include this header first), so the
 // service knows nothing about any particular visitor, and new algorithms
 // register themselves by defining another submit_* out of class — or by
-// calling the generic submit_traversal/submit_seeded directly.
+// calling the generic submit_phased/submit_traversal/submit_seeded
+// directly. Nothing outside this header builds a visitor_queue.
 #pragma once
 
 #include <atomic>
@@ -50,12 +49,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,14 +74,16 @@
 
 namespace asyncgt {
 
-// Result types owned by the algorithm headers; only named here so the
-// submit_* declarations below can spell their return types.
+// Types owned by the algorithm headers; only named here so the submit_*
+// declarations below can spell their parameters and return types.
 template <typename VertexId> struct bfs_result;
 template <typename VertexId> struct sssp_result;
 template <typename VertexId> struct cc_result;
 template <typename VertexId> struct pagerank_result;
 template <typename VertexId> struct kcore_result;
+template <typename VertexId> struct traversal_checkpoint;
 struct pagerank_options;
+struct hybrid_extra;
 
 // Dynamic-graph types owned by graph/delta_overlay.hpp and
 // core/incremental.hpp; named here so the submit_incremental_* declarations
@@ -108,6 +111,46 @@ struct job_control {
 };
 
 }  // namespace service
+
+using phase_done = std::function<void(queue_run_stats, std::exception_ptr)>;
+using phase_launcher = std::function<void(phase_done)>;
+
+/// A phased job's step hook sees the job's queue and state, the phases
+/// finished so far (0 on the submit-time call), and picks the next phase
+/// with one of the verbs — or none, which finishes the job.
+template <typename Queue, typename State>
+struct phase_ctl {
+  Queue& queue;  ///< push the next run's seeds here
+  State& state;
+  const std::size_t phases_finished;
+  phase_launcher& next;
+
+  /// An asynchronous run to quiescence over the pushed seeds.
+  void run() {
+    next = [&q = queue, &s = state](phase_done done) {
+      q.run_async(s, std::move(done));
+    };
+  }
+  /// A seeded run (visitor_queue::run_seeded_async).
+  template <typename MakeVisitor>
+  void run_seeded(std::uint64_t n, MakeVisitor make) {
+    next = [&q = queue, &s = state, n, make](phase_done done) {
+      q.run_seeded_async(s, n, make, std::move(done));
+    };
+  }
+  /// A gang sweep of body(lane, begin, end) over [0, n)
+  /// (visitor_queue::sweep_async).
+  template <typename Body>
+  void sweep(std::uint64_t n, Body body) {
+    next = [&q = queue, n, body](phase_done done) {
+      q.sweep_async(n, body, std::move(done));
+    };
+  }
+};
+
+/// A phased job's on-abort hook; the alias keeps State non-deduced.
+template <typename State>
+using abort_hook = std::type_identity_t<std::function<void(State&)>>;
 
 /// Handle to one submitted traversal. Movable, future-like. get() returns
 /// the algorithm result (with per-job queue stats inside) or rethrows the
@@ -285,59 +328,102 @@ class engine {
       incremental_extra* extra = nullptr,
       std::optional<traversal_options> opts = std::nullopt);
 
+  // Direction-optimizing traversal (core/hybrid_traversal.hpp); `extra`
+  // (may be null) gets the per-phase breakdown before the result.
+
+  template <typename Graph>
+  job<bfs_result<typename Graph::vertex_id>> submit_hybrid_bfs(
+      const Graph& g, typename Graph::vertex_id start,
+      hybrid_extra* extra = nullptr,
+      std::optional<traversal_options> opts = std::nullopt);
+
+  template <typename Graph>
+  job<cc_result<typename Graph::vertex_id>> submit_hybrid_cc(
+      const Graph& g, hybrid_extra* extra = nullptr,
+      std::optional<traversal_options> opts = std::nullopt);
+
+  // Checkpoint / restart (core/checkpoint.hpp): BFS/SSSP jobs whose
+  // on-abort hook saves the partial labels to `checkpoint_path`, and jobs
+  // that resume a saved snapshot to the full fixed point.
+
+  template <typename Graph>
+  job<bfs_result<typename Graph::vertex_id>> submit_checkpointed_bfs(
+      const Graph& g, typename Graph::vertex_id start,
+      std::string checkpoint_path,
+      std::optional<traversal_options> opts = std::nullopt);
+
+  template <typename Graph>
+  job<sssp_result<typename Graph::vertex_id>> submit_checkpointed_sssp(
+      const Graph& g, typename Graph::vertex_id start,
+      std::string checkpoint_path,
+      std::optional<traversal_options> opts = std::nullopt);
+
+  template <typename Graph>
+  job<bfs_result<typename Graph::vertex_id>> submit_resume_bfs(
+      const Graph& g,
+      const traversal_checkpoint<typename Graph::vertex_id>& cp,
+      std::optional<traversal_options> opts = std::nullopt);
+
+  template <typename Graph>
+  job<sssp_result<typename Graph::vertex_id>> submit_resume_sssp(
+      const Graph& g,
+      const traversal_checkpoint<typename Graph::vertex_id>& cp,
+      std::optional<traversal_options> opts = std::nullopt);
+
   // ---- Generic submission (what the named submits are built from) ----
 
-  /// Submits an externally-seeded traversal. `state` is moved into the job;
-  /// `prepare(queue, state)` runs synchronously on the submitting thread to
-  /// push the seed visitors; `finalize(state, stats)` runs on the pool
-  /// thread that completes the job and produces the result delivered
-  /// through the handle. On failure or cancellation finalize is skipped and
-  /// the handle carries the error instead.
+  /// The one job primitive. `step(ctl)` picks each phase (phase_ctl) on
+  /// the submitting thread, then on the pool thread that finished the last
+  /// one — no lane runs meanwhile. None picked: `finalize(state, stats)`
+  /// builds the result (stats merged over the queue phases, elapsed over
+  /// the whole run). On an error or a cancel/deadline/stall kill,
+  /// `on_abort(state)` sees the partial state before the error is delivered.
+  template <typename Visitor, typename State, typename Step,
+            typename Finalize>
+  auto submit_phased(std::optional<traversal_options> opts, State state,
+                     Step step, Finalize finalize,
+                     const char* label = "traversal",
+                     abort_hook<State> on_abort = nullptr)
+      -> job<std::invoke_result_t<Finalize&, State&, queue_run_stats>> {
+    return start_job(make_typed_job<Visitor>(
+        opts, std::move(state), std::move(step), std::move(finalize), label,
+        std::move(on_abort)));
+  }
+
+  /// One-phase job: `prepare(queue, state)` pushes the seeds on the
+  /// submitting thread, then one run to quiescence.
   template <typename Visitor, typename State, typename Prepare,
             typename Finalize>
   auto submit_traversal(std::optional<traversal_options> opts, State state,
                         Prepare prepare, Finalize finalize,
-                        const char* label = "traversal")
+                        const char* label = "traversal",
+                        abort_hook<State> on_abort = nullptr)
       -> job<std::invoke_result_t<Finalize&, State&, queue_run_stats>> {
-    auto tj = make_typed_job<Visitor>(opts, std::move(state),
-                                      std::move(finalize), label);
+    auto tj = make_typed_job<Visitor>(opts, std::move(state), run_once,
+                                      std::move(finalize), label,
+                                      std::move(on_abort));
     prepare(tj->queue, tj->state);
-    return start_job(tj, [this](auto& jq, auto& jstate, auto done) {
-      jq.run_async(pool_, jstate, std::move(done));
-    });
+    return start_job(std::move(tj));
   }
 
-  /// Seeded flavour: one visitor per vertex in [0, num_vertices), built by
-  /// `make_visitor` on the job's own workers (paper Algorithm 3 seeding).
-  /// make_visitor must be const-callable and thread-safe, as for
-  /// visitor_queue::run_seeded.
+  /// Seeded one-phase job: one visitor per vertex in [0, num_vertices),
+  /// built by `make_visitor` on the job's own workers (paper Algorithm 3
+  /// seeding); see visitor_queue::run_seeded_async for its contract.
   template <typename Visitor, typename State, typename MakeVisitor,
             typename Finalize>
   auto submit_seeded(std::optional<traversal_options> opts, State state,
                      std::uint64_t num_vertices, MakeVisitor make_visitor,
                      Finalize finalize, const char* label = "traversal")
       -> job<std::invoke_result_t<Finalize&, State&, queue_run_stats>> {
-    auto tj = make_typed_job<Visitor>(opts, std::move(state),
-                                      std::move(finalize), label);
-    return start_job(
-        tj, [this, num_vertices, mv = std::move(make_visitor)](
-                auto& jq, auto& jstate, auto done) mutable {
-          jq.run_seeded_async(pool_, jstate, num_vertices, std::move(mv),
-                              std::move(done));
-        });
+    return submit_phased<Visitor>(
+        std::move(opts), std::move(state),
+        [num_vertices, mv = std::move(make_visitor)](auto& ctl) {
+          if (ctl.phases_finished == 0) ctl.run_seeded(num_vertices, mv);
+        },
+        std::move(finalize), label);
   }
 
   // ---- Introspection / lifecycle ----
-
-  /// Resolves options against this engine's defaults and pins the config to
-  /// its pool (growing it to the job's width). For blocking call sites that
-  /// must own their visitor_queue and state directly — the checkpointed
-  /// variants in core/checkpoint.hpp, which save partial state after an
-  /// abort — yet should still run on warm pooled workers.
-  visitor_queue_config pooled_config(
-      std::optional<traversal_options> opts = std::nullopt) {
-    return prepare_config(opts);
-  }
 
   service::worker_pool& pool() noexcept { return pool_; }
   const traversal_options& defaults() const noexcept { return defaults_; }
@@ -444,6 +530,11 @@ class engine {
   }
 
  private:
+  /// The step of a one-phase job: a single run over the pushed seeds.
+  static constexpr auto run_once = [](auto& ctl) {
+    if (ctl.phases_finished == 0) ctl.run();
+  };
+
   // Option resolution visible to the out-of-class submit_* definitions in
   // core/*.hpp: the thread count sizes the per-job state shards, and the
   // resolved metrics sink lets finalize record per-algorithm work counters
@@ -464,24 +555,40 @@ class engine {
     return m != nullptr ? m : defaults_.queue.metrics;
   }
 
-  template <typename Visitor, typename State, typename Finalize>
+  template <typename Visitor, typename State, typename Step,
+            typename Finalize>
   struct typed_job {
+    using queue_type = visitor_queue<Visitor, State>;
+    using ctl_type = phase_ctl<queue_type, State>;
     using result_type =
         std::invoke_result_t<Finalize&, State&, queue_run_stats>;
     // The scope must outlive the queue (whose config points at it), so it
     // is declared — and therefore destroyed — after the queue.
     std::shared_ptr<service::job_scope_state> scope;
     State state;
-    visitor_queue<Visitor, State> queue;
+    queue_type queue;
+    Step step;
     Finalize finalize;
+    std::function<void(State&)> on_abort;
     std::promise<result_type> promise;
+    // Weak: the control block's cancel holds this job.
+    std::weak_ptr<service::job_control> control;
+    phase_launcher next;               // the phase the last step chose
+    std::size_t phases = 0;            // phases finished
+    queue_run_stats total;             // merged over the queue phases
 
     typed_job(std::shared_ptr<service::job_scope_state> sc, State&& st,
-              const visitor_queue_config& cfg, Finalize&& fin)
+              const visitor_queue_config& cfg, Step&& sp, Finalize&& fin)
         : scope(std::move(sc)),
           state(std::move(st)),
           queue(cfg),
+          step(std::move(sp)),
           finalize(std::move(fin)) {}
+
+    void choose_next() {
+      ctl_type ctl{queue, state, phases, next};
+      step(ctl);
+    }
   };
 
   /// Resolves options against engine defaults, pins the job to this
@@ -494,8 +601,8 @@ class engine {
     if (cfg.metrics == nullptr) cfg.metrics = defaults_.queue.metrics;
     if (cfg.trace == nullptr) cfg.trace = defaults_.queue.trace;
     if (cfg.sampler == nullptr) cfg.sampler = defaults_.queue.sampler;
-    cfg.validate();
     cfg.pool = &pool_;
+    cfg.validate();
     pool_.ensure_threads(cfg.num_threads);
     if (cfg.metrics != nullptr) {
       cfg.metrics->get_counter("service.jobs").add(0);
@@ -505,9 +612,12 @@ class engine {
     return cfg;
   }
 
-  template <typename Visitor, typename State, typename Finalize>
+  template <typename Visitor, typename State, typename Step,
+            typename Finalize>
   auto make_typed_job(const std::optional<traversal_options>& opts,
-                      State state, Finalize finalize, const char* label) {
+                      State state, Step step, Finalize finalize,
+                      const char* label,
+                      abort_hook<State> on_abort = nullptr) {
     visitor_queue_config cfg = prepare_config(opts);
     // One attribution scope per job, installed into the config BEFORE the
     // queue is built so every worker body and end-of-run stats mirror runs
@@ -525,20 +635,20 @@ class engine {
     scope->priority = t.priority;
     scope->memory_estimate_bytes = t.memory_estimate_bytes;
     cfg.scope = &scope->scope;
-    return std::make_shared<typed_job<Visitor, State, Finalize>>(
-        std::move(scope), std::move(state), cfg, std::move(finalize));
+    auto tj = std::make_shared<typed_job<Visitor, State, Step, Finalize>>(
+        std::move(scope), std::move(state), cfg, std::move(step),
+        std::move(finalize));
+    tj->on_abort = std::move(on_abort);
+    return tj;
   }
 
-  /// Common tail of both submit flavours: admission decision first (may
-  /// block, throw admission_rejected, or shed a victim — the job holds no
-  /// slot or memory before this passes), then wire the control block,
-  /// register the watchdog, launch via `run` (which picks run_async vs
-  /// run_seeded_async), and deliver the result or error through the promise
-  /// from the completing pool thread.
-  template <typename TypedJob, typename Run>
-  auto start_job(std::shared_ptr<TypedJob> tj, Run run)
+  /// First step (a throw reaches the submitter), admission (may block,
+  /// throw admission_rejected, or shed a victim; nothing is held before
+  /// it passes), control block, watchdog, first launch.
+  template <typename TypedJob>
+  auto start_job(std::shared_ptr<TypedJob> tj)
       -> job<typename TypedJob::result_type> {
-    using Result = typename TypedJob::result_type;
+    tj->choose_next();
     auto control = std::make_shared<service::job_control>();
     control->scope = tj->scope;
     control->cancel = [tj](abort_reason r) {
@@ -549,51 +659,97 @@ class engine {
       tj->queue.cancel(r);
     };
     control->pending = [tj] { return tj->queue.pending(); };
+    tj->control = control;
     submitted_.fetch_add(1, std::memory_order_relaxed);
     admit(tj->scope, control->cancel);  // throws admission_rejected
-    job<Result> handle(tj->promise.get_future(), control);
+    job<typename TypedJob::result_type> handle(tj->promise.get_future(),
+                                               control);
     if (tj->scope->deadline_ms > 0 || tj->scope->stall_grace_ms > 0) {
       watchdog_.watch(tj->scope, control->cancel, tj->scope->deadline_ms,
                       tj->scope->stall_grace_ms);
     }
-    run(tj->queue, tj->state,
-        [this, tj, control](queue_run_stats stats, std::exception_ptr error) {
-          std::optional<Result> result;
-          if (error == nullptr) {
-            try {
-              // Finalize runs attributed to the job so the per-algorithm
-              // work counters it records mirror into the job's deltas.
-              telemetry::metric_scope::attribution attr(&tj->scope->scope, 0);
-              result.emplace(tj->finalize(tj->state, std::move(stats)));
-            } catch (...) {
-              error = std::current_exception();
-            }
-          }
-          // All job-state mutation happens BEFORE done() flips and the
-          // promise is fulfilled: a caller that observed done() == true (or
-          // whose wait()/get() returned) must see the terminal snapshot —
-          // outcome latched, finish timestamp stamped, lifecycle accounting
-          // done — never a job that is still "running". The terminal
-          // counter bump and the active_/slot release happen in ONE
-          // jobs_mu_ critical section (inside finish_job_accounting): a
-          // concurrent counters() snapshot must never see a job counted
-          // both active and terminal, or neither — the conservation law is
-          // an invariant of every snapshot, not just of quiescence.
-          const service::job_outcome out = classify_outcome(error);
-          tj->scope->scope.mark_finished();
-          tj->scope->latch_outcome(out);
-          finish_job_accounting(*tj->scope, out);
-          control->finished.store(true, std::memory_order_release);
-          // Promise last, touching only tj/control (shared): once the
-          // slot release above woke wait_idle(), the engine may already be
-          // tearing down (the pool dtor still joins this thread).
-          if (error != nullptr) {
-            tj->promise.set_exception(std::move(error));
-          } else {
-            tj->promise.set_value(std::move(*result));
-          }
-        });
+    advance(tj, nullptr);
     return handle;
+  }
+
+  /// Launches the phase the last step chose, or delivers the job. Each
+  /// launch re-arms the queue, which re-asserts a latched cancel/deadline/
+  /// stall request: a job killed between phases aborts at once.
+  template <typename TypedJob>
+  void advance(const std::shared_ptr<TypedJob>& tj, std::exception_ptr error) {
+    if (error != nullptr || tj->next == nullptr) {
+      deliver(tj, std::move(error));
+      return;
+    }
+    auto launch = std::move(tj->next);
+    tj->next = nullptr;
+    try {
+      launch([this, tj](queue_run_stats stats, std::exception_ptr e) {
+        ++tj->phases;
+        tj->total.merge(stats);
+        if (e == nullptr) {
+          try {
+            telemetry::metric_scope::attribution attr(&tj->scope->scope, 0);
+            tj->choose_next();
+          } catch (...) {
+            e = std::current_exception();
+          }
+        }
+        advance(tj, std::move(e));
+      });
+    } catch (...) {
+      // A launch that could not start (pool shut down, allocation) fails
+      // the job through the normal path; from a completion hook it would
+      // otherwise escape the pool worker.
+      deliver(tj, std::current_exception());
+    }
+  }
+
+  /// Delivers the result (finalize) or the error (after the on-abort hook)
+  /// through the promise, from whichever thread ended the job.
+  template <typename TypedJob>
+  void deliver(const std::shared_ptr<TypedJob>& tj, std::exception_ptr error) {
+    std::optional<typename TypedJob::result_type> result;
+    {
+      // Attributed to the job so the per-algorithm work counters finalize
+      // records mirror into its deltas.
+      telemetry::metric_scope::attribution attr(&tj->scope->scope, 0);
+      try {
+        if (error == nullptr) {
+          tj->total.elapsed_seconds = tj->scope->scope.run_seconds();
+          result.emplace(tj->finalize(tj->state, std::move(tj->total)));
+        } else if (tj->on_abort) {
+          tj->on_abort(tj->state);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    // All job-state mutation happens BEFORE done() flips and the promise
+    // is fulfilled: a caller that observed done() == true (or whose
+    // wait()/get() returned) must see the terminal snapshot — outcome
+    // latched, finish timestamp stamped, lifecycle accounting done — never
+    // a job that is still "running". The terminal counter bump and the
+    // active_/slot release happen in ONE jobs_mu_ critical section (inside
+    // finish_job_accounting): a concurrent counters() snapshot must never
+    // see a job counted both active and terminal, or neither — the
+    // conservation law is an invariant of every snapshot, not just of
+    // quiescence.
+    const service::job_outcome out = classify_outcome(error);
+    tj->scope->scope.mark_finished();
+    tj->scope->latch_outcome(out);
+    finish_job_accounting(*tj->scope, out);
+    if (auto control = tj->control.lock()) {
+      control->finished.store(true, std::memory_order_release);
+    }
+    // Promise last, touching only tj (shared): once the slot release above
+    // woke wait_idle(), the engine may already be tearing down (the pool
+    // dtor still joins this thread).
+    if (error != nullptr) {
+      tj->promise.set_exception(std::move(error));
+    } else {
+      tj->promise.set_value(std::move(*result));
+    }
   }
 
   /// The admission decision (tentpole part 2+3). Runs on the submitting

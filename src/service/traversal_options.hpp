@@ -138,8 +138,6 @@ struct traversal_options {
     return *this;
   }
 
-  void validate() const { queue.validate(); }
-
   /// The single flag parser shared by agt_tool and the bench harnesses:
   ///   --threads=N        worker lanes            (default 16)
   ///   --flush-batch=N    delivery batch          (default 64 IM, 1 SEM —

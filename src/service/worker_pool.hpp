@@ -22,8 +22,9 @@
 // service's job scheduler.
 //
 // The pool knows nothing about visitors, queues, or telemetry sinks — it
-// sits below the queue layer (traversal_engine dispatches its worker bodies
-// here when visitor_queue_config::pool is set) and above nothing. The
+// sits below the queue layer (traversal_engine dispatches every run's worker
+// bodies here as one gang) and above nothing. Submission never blocks: a
+// gang reports back only through its completion hook. The
 // lifetime spawn counter (`threads_spawned`) is what the service layer
 // exports as the `service.pool.spawned_threads` metric: a warm pool serving
 // back-to-back equal-width jobs must show the counter frozen at the pool
@@ -50,25 +51,6 @@ namespace asyncgt::service {
 
 class worker_pool {
  public:
-  /// One submitted block of work items. Created by submit(); opaque to
-  /// callers except as a ticket for wait().
-  class gang {
-   public:
-    gang() = default;
-    gang(const gang&) = delete;
-    gang& operator=(const gang&) = delete;
-
-   private:
-    friend class worker_pool;
-    std::function<void(std::size_t)> body;  // invoked concurrently per slot
-    std::function<void()> on_complete;      // run once, by the last finisher
-    std::size_t count = 0;
-    std::size_t next = 0;    // next slot to dispatch      (guarded by mu_)
-    std::size_t active = 0;  // dispatched, not finished   (guarded by mu_)
-    bool done = false;       // on_complete ran            (guarded by mu_)
-  };
-  using ticket = std::shared_ptr<gang>;
-
   /// `initial_threads` pre-warms the pool; submit() grows it on demand, so
   /// 0 is a valid start for callers that do not know their widest job yet.
   /// Pre-size to the widest expected job to guarantee zero spawns at
@@ -95,12 +77,12 @@ class worker_pool {
   /// is shared, so it must be safe to invoke concurrently (the traversal
   /// engine's worker bodies are, by construction: each slot touches only its
   /// own lane). `on_complete`, if given, runs exactly once on the pool
-  /// thread that finishes the gang's last item, before wait() returns.
+  /// thread that finishes the gang's last item.
   ///
   /// Grows the pool to at least `count` threads first — the FIFO progress
   /// guarantee (header comment) requires it.
-  ticket submit(std::size_t count, std::function<void(std::size_t)> body,
-                std::function<void()> on_complete = nullptr) {
+  void submit(std::size_t count, std::function<void(std::size_t)> body,
+              std::function<void()> on_complete = nullptr) {
     if (count == 0) {
       throw std::invalid_argument("worker_pool: gang needs at least one slot");
     }
@@ -117,14 +99,6 @@ class worker_pool {
       queue_.push_back(g);
     }
     work_cv_.notify_all();
-    return g;
-  }
-
-  /// Blocks until the gang's every item finished and its on_complete (if
-  /// any) returned. This is the "release" half of a blocking traversal run.
-  void wait(const ticket& t) {
-    std::unique_lock lk(mu_);
-    done_cv_.wait(lk, [&] { return t->done; });
   }
 
   /// Grows the pool to at least `n` threads (never shrinks). Each growth
@@ -166,6 +140,15 @@ class worker_pool {
   }
 
  private:
+  /// One submitted block of work items.
+  struct gang {
+    std::function<void(std::size_t)> body;  // invoked concurrently per slot
+    std::function<void()> on_complete;      // run once, by the last finisher
+    std::size_t count = 0;
+    std::size_t next = 0;    // next slot to dispatch      (guarded by mu_)
+    std::size_t active = 0;  // dispatched, not finished   (guarded by mu_)
+  };
+
   void worker_main() {
     std::unique_lock lk(mu_);
     for (;;) {
@@ -177,7 +160,7 @@ class worker_pool {
       // FIFO block dispatch: always the oldest gang with undispatched
       // items — it sits at the front because fully-dispatched gangs are
       // popped eagerly.
-      ticket g = queue_.front();
+      std::shared_ptr<gang> g = queue_.front();
       const std::size_t slot = g->next++;
       ++g->active;
       if (g->next == g->count) queue_.pop_front();
@@ -186,24 +169,20 @@ class worker_pool {
       lk.lock();
       --g->active;
       if (g->next == g->count && g->active == 0) {
-        // Last item of the gang: completion runs outside the lock (it may
-        // finalize stats, fulfill a promise, take the failure latch), then
-        // the done broadcast under the lock so wait()'s predicate cannot
-        // miss it.
+        // Last item of the gang: counted complete first, so a caller woken
+        // by on_complete sees it; the hook runs outside the lock (it may
+        // finalize stats, fulfill a promise, launch the job's next phase).
+        completed_.fetch_add(1, std::memory_order_relaxed);
         lk.unlock();
         if (g->on_complete) g->on_complete();
         lk.lock();
-        g->done = true;
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        done_cv_.notify_all();
       }
     }
   }
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers park here between gangs
-  std::condition_variable done_cv_;  // wait() parks here
-  std::deque<ticket> queue_;         // gangs with undispatched items, FIFO
+  std::deque<std::shared_ptr<gang>> queue_;  // undispatched items, FIFO
   std::vector<std::thread> threads_;
   bool stop_ = false;
   std::atomic<std::uint64_t> spawned_{0};

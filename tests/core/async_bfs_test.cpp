@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "baselines/serial_bfs.hpp"
 #include "core/validate.hpp"
 #include "gen/grid.hpp"
@@ -77,11 +80,15 @@ TEST(AsyncBfs, WeightedGraphIgnoresWeights) {
   EXPECT_EQ(r.level[2], 2u);  // hops, not weight sums
 }
 
+// The ctest name of each case is the parameter's raw bytes, so the struct
+// must have no padding: padding bytes are uninitialised and would rename the
+// cases from build to build. The flag is therefore a full 32-bit word.
 struct BfsSweepParam {
   unsigned scale;
-  bool rmat_b_preset;
+  std::uint32_t rmat_b_preset;
   std::size_t threads;
 };
+static_assert(std::has_unique_object_representations_v<BfsSweepParam>);
 
 class AsyncBfsSweep : public ::testing::TestWithParam<BfsSweepParam> {};
 

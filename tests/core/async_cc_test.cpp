@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "baselines/serial_cc.hpp"
 #include "core/validate.hpp"
 #include "gen/grid.hpp"
@@ -54,11 +57,14 @@ TEST(AsyncCc, SingleGiantComponent) {
   for (const vertex32 c : r.component) EXPECT_EQ(c, 0u);
 }
 
+// No padding bytes: they would make the byte-dump ctest names of the cases
+// vary from build to build (see BfsSweepParam in async_bfs_test.cpp).
 struct CcSweepParam {
   unsigned scale;
-  bool rmat_b_preset;
+  std::uint32_t rmat_b_preset;
   std::size_t threads;
 };
+static_assert(std::has_unique_object_representations_v<CcSweepParam>);
 
 class AsyncCcSweep : public ::testing::TestWithParam<CcSweepParam> {};
 

@@ -220,6 +220,30 @@ TEST(HybridCc, MatchesAsyncOnRmat) {
   EXPECT_EQ(extra.phases.front().direction, "bottom-up");
 }
 
+// ---- hybrid runs are engine jobs ----
+
+TEST(HybridJob, ElapsedCoversBottomUpSweeps) {
+  // A huge alpha flips to bottom-up at the first decision and beta=1e9
+  // keeps it there, so the run is bottom-up sweeps only — no queue phase.
+  // Its elapsed time must still cover them, within the job's run time.
+  const csr32 g = reversed(rmat_graph_undirected<vertex32>(rmat_a(10, 5)));
+  vertex32 hub = 0;
+  for (vertex32 v = 0; v < g.num_vertices(); ++v) {
+    if (g.out_degree(v) > g.out_degree(hub)) hub = v;
+  }
+  engine eng({.pool_threads = 4});
+  hybrid_extra extra;
+  auto j = eng.submit_hybrid_bfs(g, hub, &extra, hybrid_opts(1e9, 1e9));
+  const auto r = j.get();
+  EXPECT_EQ(r.level, serial_bfs(g, hub).level);
+  ASSERT_FALSE(extra.phases.empty());
+  for (const auto& p : extra.phases) EXPECT_EQ(p.direction, "bottom-up");
+  EXPECT_GT(r.stats.elapsed_seconds, 0.0);
+  EXPECT_LE(r.stats.elapsed_seconds, j.stats().run_seconds);
+  EXPECT_EQ(j.stats().label, "hybrid_bfs");
+  EXPECT_EQ(j.stats().visits, r.stats.visits);
+}
+
 // ---- option plumbing and telemetry ----
 
 TEST(HybridOptions, FromFlagsParsesKnobs) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "queue/visitor_queue.hpp"
+#include "test_pool.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -108,8 +109,7 @@ std::uint64_t total_visits(const tree_state& s) {
 }
 
 visitor_queue_config cfg_with(std::size_t threads, std::size_t batch) {
-  visitor_queue_config cfg;
-  cfg.num_threads = threads;
+  visitor_queue_config cfg = pooled_config(threads);
   cfg.flush_batch = batch;
   return cfg;
 }
@@ -119,7 +119,7 @@ queue_run_stats run_tree(std::uint64_t n, const visitor_queue_config& cfg,
   tree_state state(n, cfg.num_threads);
   visitor_queue<tree_visitor, tree_state> q(cfg);
   q.push(tree_visitor{0, 0});
-  auto stats = q.run(state);
+  auto stats = run_blocking(q, state);
   if (visits_out != nullptr) *visits_out = total_visits(state);
   return stats;
 }
@@ -175,7 +175,7 @@ TEST(FlushBatch, SeededRunsCompleteForAnyBatch) {
   for (const std::size_t batch : {1u, 64u, 8192u}) {
     leaf_state state(8);
     visitor_queue<leaf_visitor, leaf_state> q(cfg_with(8, batch));
-    const auto stats = q.run_seeded(state, kN, [](std::uint32_t v) {
+    const auto stats = run_seeded_blocking(q, state, kN, [](std::uint32_t v) {
       return leaf_visitor{v};
     });
     EXPECT_EQ(stats.visits, kN) << "batch=" << batch;
@@ -192,13 +192,13 @@ TEST(FlushBatch, ReuseResetsTerminationAndStats) {
   visitor_queue<tree_visitor, tree_state> q(cfg_with(4, 64));
 
   q.push(tree_visitor{0, 0});
-  const auto first = q.run(state);
+  const auto first = run_blocking(q, state);
   EXPECT_EQ(first.visits, kN);
   EXPECT_EQ(q.pending(), 0);
 
   for (int round = 0; round < 3; ++round) {
     q.push(tree_visitor{0, 0});
-    const auto again = q.run(state);
+    const auto again = run_blocking(q, state);
     EXPECT_EQ(again.visits, first.visits) << "round=" << round;
     EXPECT_EQ(again.pushes, first.pushes);
     EXPECT_EQ(again.visits_per_queue.size(), first.visits_per_queue.size());
@@ -218,16 +218,16 @@ TEST(FlushBatch, ReuseMixesRunAndRunSeeded) {
   visitor_queue<tree_visitor, tree_state> q(cfg_with(4, 16));
 
   q.push(tree_visitor{0, 0});
-  EXPECT_EQ(q.run(state).visits, kN);
+  EXPECT_EQ(run_blocking(q, state).visits, kN);
 
-  const auto seeded = q.run_seeded(state, kN, [](std::uint32_t v) {
+  const auto seeded = run_seeded_blocking(q, state, kN, [](std::uint32_t v) {
     return tree_visitor{v, 0};  // every vertex seeded: all re-visited once
   });
   EXPECT_GE(seeded.visits, kN);
   EXPECT_EQ(q.pending(), 0);
 
   q.push(tree_visitor{0, 0});
-  EXPECT_EQ(q.run(state).visits, kN);
+  EXPECT_EQ(run_blocking(q, state).visits, kN);
   EXPECT_EQ(q.pending(), 0);
 }
 
@@ -246,7 +246,7 @@ TEST(FlushBatch, RvaluePushPathNeverCopiesVisitors) {
   state.n = 512;
   visitor_queue<counting_visitor, counting_state> q(cfg_with(1, 8));
   q.push(counting_visitor{0});
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_EQ(stats.visits, 512u);
   EXPECT_EQ(state.visits, 512u);
   EXPECT_EQ(g_visitor_copies, 0);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "queue/visitor_queue.hpp"
+#include "test_pool.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -27,21 +28,19 @@ struct wide_visitor {
 };
 
 TEST(VisitorQueueConfig, SixtyFourBitVertexRouting) {
-  visitor_queue_config cfg;
-  cfg.num_threads = 8;
+  const visitor_queue_config cfg = pooled_config(8);
   wide_state state(8);
   visitor_queue<wide_visitor, wide_state> q(cfg);
   // Ids far beyond 32 bits must route and complete.
   for (std::uint64_t i = 0; i < 1000; ++i) {
     q.push(wide_visitor{(1ULL << 40) + i * 12345});
   }
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_EQ(stats.visits, 1000u);
 }
 
 TEST(VisitorQueueConfig, ReservationDoesNotChangeBehaviour) {
-  visitor_queue_config plain;
-  plain.num_threads = 4;
+  visitor_queue_config plain = pooled_config(4);
   visitor_queue_config reserved = plain;
   reserved.reserve_per_queue = 4096;
 
@@ -49,14 +48,22 @@ TEST(VisitorQueueConfig, ReservationDoesNotChangeBehaviour) {
     wide_state state(4);
     visitor_queue<wide_visitor, wide_state> q(*cfg);
     for (std::uint64_t i = 0; i < 500; ++i) q.push(wide_visitor{i});
-    EXPECT_EQ(q.run(state).visits, 500u);
+    EXPECT_EQ(run_blocking(q, state).visits, 500u);
   }
 }
 
 TEST(VisitorQueueConfig, ValidateRejectsZeroThreads) {
-  visitor_queue_config cfg;
-  cfg.num_threads = 0;
+  visitor_queue_config cfg = pooled_config(0);
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(VisitorQueueConfig, ValidateRejectsNullPool) {
+  // Runs execute only as pool gangs: a pool-less config is a usage error
+  // (the engine pins its pool on every job config).
+  visitor_queue_config cfg;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.pool = &queue_test_pool();
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(VisitorQueueConfig, SingleQueueIsLegal) {
@@ -64,23 +71,21 @@ TEST(VisitorQueueConfig, SingleQueueIsLegal) {
   // with every ordering mode.
   for (const auto order :
        {queue_order::priority, queue_order::fifo, queue_order::lifo}) {
-    visitor_queue_config cfg;
-    cfg.num_threads = 1;
+    visitor_queue_config cfg = pooled_config(1);
     cfg.order = order;
     wide_state state(1);
     visitor_queue<wide_visitor, wide_state> q(cfg);
     for (std::uint64_t i = 0; i < 64; ++i) q.push(wide_visitor{i});
-    EXPECT_EQ(q.run(state).visits, 64u);
+    EXPECT_EQ(run_blocking(q, state).visits, 64u);
   }
 }
 
 TEST(QueueRunStats, VisitsPerQueueSizedToThreads) {
-  visitor_queue_config cfg;
-  cfg.num_threads = 6;
+  const visitor_queue_config cfg = pooled_config(6);
   wide_state state(6);
   visitor_queue<wide_visitor, wide_state> q(cfg);
   q.push(wide_visitor{1});
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_EQ(stats.visits_per_queue.size(), 6u);
 }
 

@@ -15,6 +15,7 @@
 
 #include "queue/traversal_abort.hpp"
 #include "queue/visitor_queue.hpp"
+#include "test_pool.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -59,11 +60,7 @@ struct bomb_visitor {
   }
 };
 
-visitor_queue_config threads(std::size_t n) {
-  visitor_queue_config cfg;
-  cfg.num_threads = n;
-  return cfg;
-}
+visitor_queue_config threads(std::size_t n) { return pooled_config(n); }
 
 TEST(TraversalAbort, ThrowingVisitorSurfacesAsTraversalAborted) {
   bomb_state s(1 << 14, 8);
@@ -71,7 +68,7 @@ TEST(TraversalAbort, ThrowingVisitorSurfacesAsTraversalAborted) {
   visitor_queue<bomb_visitor, bomb_state> q(threads(8));
   q.push(bomb_visitor{0, 0});
   try {
-    q.run(s);
+    run_blocking(q, s);
     FAIL() << "expected traversal_aborted";
   } catch (const traversal_aborted& e) {
     EXPECT_LT(e.worker(), 8u);
@@ -90,13 +87,13 @@ TEST(TraversalAbort, QueueIsReusableAfterAbort) {
   armed.bomb = 4242;
   visitor_queue<bomb_visitor, bomb_state> q(threads(8));
   q.push(bomb_visitor{0, 0});
-  EXPECT_THROW(q.run(armed), traversal_aborted);
+  EXPECT_THROW(run_blocking(q, armed), traversal_aborted);
 
   // Same queue object, clean state: the abandoned visitors from the aborted
   // run must be gone and the tree must be walked exactly once per vertex.
   bomb_state clean(n, 8);
   q.push(bomb_visitor{0, 0});
-  const auto stats = q.run(clean);
+  const auto stats = run_blocking(q, clean);
   EXPECT_EQ(clean.total_visits(), n);
   EXPECT_EQ(stats.visits, n);
 }
@@ -109,7 +106,7 @@ TEST(TraversalAbort, AbortWakesParkedWorkers) {
   s.bomb = 0;
   visitor_queue<bomb_visitor, bomb_state> q(threads(16));
   q.push(bomb_visitor{0, 0});
-  EXPECT_THROW(q.run(s), traversal_aborted);
+  EXPECT_THROW(run_blocking(q, s), traversal_aborted);
 }
 
 TEST(TraversalAbort, SeededRunAborts) {
@@ -117,7 +114,7 @@ TEST(TraversalAbort, SeededRunAborts) {
   s.bomb = 999;
   visitor_queue<bomb_visitor, bomb_state> q(threads(8));
   try {
-    q.run_seeded(s, s.n, [](std::uint32_t v) {
+    run_seeded_blocking(q, s, s.n, [](std::uint32_t v) {
       return bomb_visitor{v, 0};
     });
     FAIL() << "expected traversal_aborted";
@@ -129,7 +126,7 @@ TEST(TraversalAbort, SeededRunAborts) {
   // children, so each vertex is visited once as a seed plus once per
   // ancestor visit — at least n in total.)
   bomb_state clean(1 << 12, 8);
-  q.run_seeded(clean, clean.n, [](std::uint32_t v) {
+  run_seeded_blocking(q, clean, clean.n, [](std::uint32_t v) {
     return bomb_visitor{v, 0};
   });
   EXPECT_GE(clean.total_visits(), clean.n);
@@ -142,7 +139,7 @@ TEST(TraversalAbort, FirstErrorWinsUnderConcurrentFailures) {
   s.all_bombs = true;
   visitor_queue<bomb_visitor, bomb_state> q(threads(8));
   try {
-    q.run_seeded(s, s.n, [&s](std::uint32_t v) {
+    run_seeded_blocking(q, s, s.n, [&s](std::uint32_t v) {
       return bomb_visitor{v, 0};
     });
     FAIL() << "expected traversal_aborted";
@@ -157,12 +154,12 @@ TEST(TraversalAbort, ExternalPushAfterAbortStartsClean) {
   armed.bomb = 100;
   visitor_queue<bomb_visitor, bomb_state> q(threads(4));
   q.push(bomb_visitor{0, 0});
-  EXPECT_THROW(q.run(armed), traversal_aborted);
+  EXPECT_THROW(run_blocking(q, armed), traversal_aborted);
   // Post-abort the engine reset pending to zero; a lone external push must
   // be the only seed of the next run (no stale in-flight accounting).
   bomb_state clean(8, 4);
   q.push(bomb_visitor{0, 0});
-  q.run(clean);
+  run_blocking(q, clean);
   EXPECT_EQ(clean.total_visits(), 8u);
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "test_pool.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -93,8 +94,7 @@ std::uint64_t total_visits(const tree_state& s) {
 
 visitor_queue_config cfg_with(std::size_t threads,
                               queue_order order = queue_order::priority) {
-  visitor_queue_config cfg;
-  cfg.num_threads = threads;
+  visitor_queue_config cfg = pooled_config(threads);
   cfg.order = order;
   return cfg;
 }
@@ -105,7 +105,7 @@ TEST(VisitorQueue, VisitsEveryTreeNodeOnce) {
     tree_state state(kN, threads);
     visitor_queue<tree_visitor, tree_state> q(cfg_with(threads));
     q.push(tree_visitor{0, 0});
-    const auto stats = q.run(state);
+    const auto stats = run_blocking(q, state);
     EXPECT_EQ(total_visits(state), kN) << "threads=" << threads;
     EXPECT_EQ(stats.visits, kN);
     EXPECT_EQ(stats.pushes, kN);  // every node pushed exactly once
@@ -115,7 +115,7 @@ TEST(VisitorQueue, VisitsEveryTreeNodeOnce) {
 TEST(VisitorQueue, EmptyRunReturnsImmediately) {
   tree_state state(0, 4);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(4));
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_EQ(stats.visits, 0u);
 }
 
@@ -124,9 +124,9 @@ TEST(VisitorQueue, ReusableAcrossRuns) {
   tree_state state(kN, 4);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(4));
   q.push(tree_visitor{0, 0});
-  EXPECT_EQ(q.run(state).visits, kN);
+  EXPECT_EQ(run_blocking(q, state).visits, kN);
   q.push(tree_visitor{0, 0});
-  EXPECT_EQ(q.run(state).visits, kN);  // stats reset between runs
+  EXPECT_EQ(run_blocking(q, state).visits, kN);  // stats reset between runs
   EXPECT_EQ(total_visits(state), 2 * kN);
 }
 
@@ -140,7 +140,7 @@ TEST(VisitorQueue, OversubscriptionManyMoreThreadsThanCores) {
   tree_state state(kN, 256);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(256));
   q.push(tree_visitor{0, 0});
-  EXPECT_EQ(q.run(state).visits, kN);
+  EXPECT_EQ(run_blocking(q, state).visits, kN);
 }
 
 TEST(VisitorQueue, FifoAndLifoOrdersAlsoComplete) {
@@ -149,7 +149,7 @@ TEST(VisitorQueue, FifoAndLifoOrdersAlsoComplete) {
     tree_state state(kN, 8);
     visitor_queue<tree_visitor, tree_state> q(cfg_with(8, ord));
     q.push(tree_visitor{0, 0});
-    EXPECT_EQ(q.run(state).visits, kN);
+    EXPECT_EQ(run_blocking(q, state).visits, kN);
   }
 }
 
@@ -158,7 +158,7 @@ TEST(VisitorQueue, RunSeededVisitsAllSeeds) {
   for (const std::size_t threads : {1u, 3u, 16u}) {
     leaf_state state(threads);
     visitor_queue<leaf_visitor, leaf_state> q(cfg_with(threads));
-    const auto stats = q.run_seeded(state, kN, [](std::uint32_t v) {
+    const auto stats = run_seeded_blocking(q, state, kN, [](std::uint32_t v) {
       return leaf_visitor{v};
     });
     std::uint64_t sum = 0;
@@ -171,7 +171,7 @@ TEST(VisitorQueue, RunSeededVisitsAllSeeds) {
 TEST(VisitorQueue, RunSeededEmptyRange) {
   tree_state state(0, 4);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(4));
-  const auto stats = q.run_seeded(state, 0, [](std::uint32_t v) {
+  const auto stats = run_seeded_blocking(q, state, 0, [](std::uint32_t v) {
     return tree_visitor{v, 0};
   });
   EXPECT_EQ(stats.visits, 0u);
@@ -183,7 +183,7 @@ TEST(VisitorQueue, SingleThreadPopsInPriorityOrder) {
   for (const std::uint32_t p : {5u, 1u, 4u, 2u, 3u}) {
     q.push(order_visitor{p, p});
   }
-  q.run(state);
+  run_blocking(q, state);
   const std::vector<std::uint32_t> expect{1, 2, 3, 4, 5};
   EXPECT_EQ(state.order, expect);
 }
@@ -192,7 +192,7 @@ TEST(VisitorQueue, FifoPopsInPushOrder) {
   order_state state;
   visitor_queue<order_visitor, order_state> q(cfg_with(1, queue_order::fifo));
   for (const std::uint32_t p : {5u, 1u, 4u}) q.push(order_visitor{p, p});
-  q.run(state);
+  run_blocking(q, state);
   const std::vector<std::uint32_t> expect{5, 1, 4};
   EXPECT_EQ(state.order, expect);
 }
@@ -201,7 +201,7 @@ TEST(VisitorQueue, LifoPopsInReversePushOrder) {
   order_state state;
   visitor_queue<order_visitor, order_state> q(cfg_with(1, queue_order::lifo));
   for (const std::uint32_t p : {5u, 1u, 4u}) q.push(order_visitor{p, p});
-  q.run(state);
+  run_blocking(q, state);
   const std::vector<std::uint32_t> expect{4, 1, 5};
   EXPECT_EQ(state.order, expect);
 }
@@ -214,7 +214,7 @@ TEST(VisitorQueue, SecondarySortBreaksTiesByVertex) {
   q.push(vertex_order_visitor{30, 7});
   q.push(vertex_order_visitor{10, 7});
   q.push(vertex_order_visitor{20, 7});
-  q.run(vs);
+  run_blocking(q, vs);
   const std::vector<std::uint32_t> expect{10, 20, 30};
   EXPECT_EQ(vs.order, expect);
 }
@@ -226,7 +226,7 @@ TEST(VisitorQueue, PrimaryPriorityStillWinsWithSecondarySort) {
   visitor_queue<vertex_order_visitor, order_state> q(cfg);
   q.push(vertex_order_visitor{10, 9});  // high vertex priority loses to prio
   q.push(vertex_order_visitor{99, 1});
-  q.run(vs);
+  run_blocking(q, vs);
   const std::vector<std::uint32_t> expect{99, 10};
   EXPECT_EQ(vs.order, expect);
 }
@@ -237,7 +237,7 @@ TEST(VisitorQueue, LoadBalanceAcrossQueues) {
   constexpr std::uint64_t kN = 80000;
   leaf_state state(kThreads);
   visitor_queue<leaf_visitor, leaf_state> q(cfg_with(kThreads));
-  const auto stats = q.run_seeded(state, kN, [](std::uint32_t v) {
+  const auto stats = run_seeded_blocking(q, state, kN, [](std::uint32_t v) {
     return leaf_visitor{v};
   });
   EXPECT_LT(stats.load_imbalance_cv(), 0.05);
@@ -254,7 +254,7 @@ TEST(VisitorQueue, IdentityHashRouting) {
   for (std::uint32_t v = 0; v < 400; v += 4) {
     q.push(leaf_visitor{v});
   }
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_EQ(stats.visits, 100u);
   EXPECT_GT(stats.load_imbalance_cv(), 1.5);  // all work on one queue
 }
@@ -263,7 +263,7 @@ TEST(VisitorQueue, StatsTrackMaxQueueLength) {
   tree_state state(512, 1);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(1));
   q.push(tree_visitor{0, 0});
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   EXPECT_GE(stats.max_queue_length, 2u);  // tree fan-out must queue up
   EXPECT_LE(stats.max_queue_length, 512u);
 }
@@ -274,7 +274,7 @@ TEST(VisitorQueue, StressManyRunsNoDeadlock) {
     tree_state state(64, 16);
     visitor_queue<tree_visitor, tree_state> q(cfg_with(16));
     q.push(tree_visitor{0, 0});
-    EXPECT_EQ(q.run(state).visits, 64u);
+    EXPECT_EQ(run_blocking(q, state).visits, 64u);
   }
 }
 
@@ -287,7 +287,7 @@ TEST(VisitorQueue, ShutdownWakeNotCountedAsWakeup) {
     leaf_state state(16);
     visitor_queue<leaf_visitor, leaf_state> q(cfg_with(16));
     q.push(leaf_visitor{0});
-    const auto stats = q.run(state);
+    const auto stats = run_blocking(q, state);
     EXPECT_EQ(stats.visits, 1u);
     EXPECT_EQ(stats.wakeups, 0u) << "round=" << round;
   }
@@ -299,7 +299,7 @@ TEST(VisitorQueue, PendingIsZeroAfterRunAndObservableDuring) {
   EXPECT_EQ(q.pending(), 0);
   q.push(tree_visitor{0, 0});
   EXPECT_EQ(q.pending(), 1);  // seeded but not yet run
-  q.run(state);
+  run_blocking(q, state);
   EXPECT_EQ(q.pending(), 0);  // termination means the counter drained
 }
 
@@ -307,7 +307,7 @@ TEST(VisitorQueue, StatsToStringIncludesElapsedAndSpread) {
   tree_state state(256, 2);
   visitor_queue<tree_visitor, tree_state> q(cfg_with(2));
   q.push(tree_visitor{0, 0});
-  const auto stats = q.run(state);
+  const auto stats = run_blocking(q, state);
   const std::string s = stats.to_string();
   EXPECT_NE(s.find("elapsed_s="), std::string::npos) << s;
   EXPECT_NE(s.find("queue_visits_min="), std::string::npos) << s;

@@ -9,6 +9,7 @@
 #include <cstddef>
 
 #include "service/traversal_options.hpp"
+#include "service/worker_pool.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "util/options.hpp"
 
@@ -41,7 +42,11 @@ TEST(TraversalOptions, BuildersChain) {
   EXPECT_EQ(o.queue.num_threads, 9u);
   EXPECT_EQ(o.queue.flush_batch, 2u);
   EXPECT_EQ(o.queue.metrics, &reg);
-  o.validate();
+  // Valid once the engine pins its pool, as it does for every job.
+  service::worker_pool pool(1);
+  visitor_queue_config pinned = o.queue;
+  pinned.pool = &pool;
+  EXPECT_NO_THROW(pinned.validate());
 }
 
 TEST(TraversalOptions, FromFlagsImDefaults) {

@@ -113,8 +113,10 @@ int usage() {
                "  --hot-threshold N      pending visitors that make a block\n"
                "                         hot (default 4)\n"
                "  --checkpoint-on-error F  bfs/sssp: save emergency\n"
-               "                         checkpoint to F on abort (exit 3)\n"
+               "                         checkpoint to F on abort (exit 3,\n"
+               "                         or 4 on a deadline/stall kill)\n"
                "  --resume F             bfs/sssp: resume from checkpoint F\n"
+               "                         (neither combines with --hybrid)\n"
                "hybrid traversal flags (docs/hybrid_traversal.md):\n"
                "  --hybrid               bfs/cc: frontier-adaptive direction\n"
                "                         switching (needs FILE.rev under\n"
@@ -598,8 +600,10 @@ int abort_exit_code(const traversal_aborted& e) {
              : 3;
 }
 
-/// Prints an abort and, when an emergency checkpoint was saved, the resume
-/// hint. Returns the exit code (3 or 4, see abort_exit_code).
+/// Prints an abort and, when `checkpoint_path` is set, the resume hint:
+/// callers pass it only when the checkpointed driver ran, whose on-abort
+/// hook saved it (a failed save surfaces as its own error instead). Returns
+/// the exit code (3 or 4, see abort_exit_code).
 int report_abort(const char* algo, const traversal_aborted& e,
                  const std::string& checkpoint_path) {
   std::fprintf(stderr, "agt_tool %s: %s\n", algo, e.what());
@@ -613,6 +617,18 @@ int report_abort(const char* algo, const traversal_aborted& e,
 }
 
 int cmd_bfs(const options& opt) {
+  // The hybrid driver has no checkpoint path and resume runs plain async
+  // BFS, so both pairings are usage errors rather than silently dropped
+  // flags.
+  if (opt.get_bool("hybrid", false)) {
+    for (const char* flag : {"checkpoint-on-error", "resume"}) {
+      if (!opt.get_string(flag, "").empty()) {
+        std::fprintf(stderr, "bfs: --hybrid cannot be combined with --%s\n",
+                     flag);
+        return 2;
+      }
+    }
+  }
   return run_traversal(opt, "bfs", [&](const auto& g, const auto& cfg,
                                        bench::bench_report& rep) {
     const auto start = static_cast<vertex32>(opt.get_int("start", 0));
@@ -622,17 +638,12 @@ int cmd_bfs(const options& opt) {
     try {
       bfs_result<vertex32> r;
       hybrid_extra hex;
-      const bool hybrid = opt.get_bool("hybrid", false);
       if (!resume.empty()) {
         const auto cp = load_checkpoint<vertex32>(resume, checkpoint_kind::bfs);
         r = resume_bfs(g, cp, cfg);
         std::printf("resumed BFS from checkpoint %s\n", resume.c_str());
-      } else if (hybrid) {
-        traversal_options topt(cfg);
-        topt.hybrid = true;
-        topt.hybrid_alpha = opt.get_double("hybrid-alpha", topt.hybrid_alpha);
-        topt.hybrid_beta = opt.get_double("hybrid-beta", topt.hybrid_beta);
-        r = hybrid_bfs(g, start, topt, &hex);
+      } else if (cfg.hybrid) {
+        r = hybrid_bfs(g, start, cfg, &hex);
         std::printf("hybrid: %s direction switches, %s edges inspected "
                     "over %zu phases\n",
                     fmt_count(hex.direction_switches).c_str(),
@@ -650,11 +661,11 @@ int cmd_bfs(const options& opt) {
         alg->set("start", static_cast<std::uint64_t>(start));
         alg->set("reached", r.visited_count());
         alg->set("max_level", r.max_level());
-        if (hybrid) alg->set("hybrid", bench::to_json(hex));
+        if (cfg.hybrid) alg->set("hybrid", bench::to_json(hex));
       }
       return 0;
     } catch (const traversal_aborted& e) {
-      return report_abort("bfs", e, ckpt);
+      return report_abort("bfs", e, resume.empty() ? ckpt : std::string());
     }
   });
 }
@@ -687,7 +698,7 @@ int cmd_sssp(const options& opt) {
       }
       return 0;
     } catch (const traversal_aborted& e) {
-      return report_abort("sssp", e, ckpt);
+      return report_abort("sssp", e, resume.empty() ? ckpt : std::string());
     }
   });
 }
@@ -699,13 +710,8 @@ int cmd_cc(const options& opt) {
     try {
       cc_result<vertex32> r;
       hybrid_extra hex;
-      const bool hybrid = opt.get_bool("hybrid", false);
-      if (hybrid) {
-        traversal_options topt(cfg);
-        topt.hybrid = true;
-        topt.hybrid_alpha = opt.get_double("hybrid-alpha", topt.hybrid_alpha);
-        topt.hybrid_beta = opt.get_double("hybrid-beta", topt.hybrid_beta);
-        r = hybrid_cc(g, topt, &hex);
+      if (cfg.hybrid) {
+        r = hybrid_cc(g, cfg, &hex);
         std::printf("hybrid: %s direction switches, %s edges inspected "
                     "over %zu phases\n",
                     fmt_count(hex.direction_switches).c_str(),
@@ -721,7 +727,7 @@ int cmd_cc(const options& opt) {
       if (auto* alg = report_traversal(rep, "cc", r)) {
         alg->set("components", r.num_components());
         alg->set("largest_component", r.largest_component_size());
-        if (hybrid) alg->set("hybrid", bench::to_json(hex));
+        if (cfg.hybrid) alg->set("hybrid", bench::to_json(hex));
       }
       return 0;
     } catch (const traversal_aborted& e) {

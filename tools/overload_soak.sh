@@ -15,7 +15,9 @@
 #   * a semi-external traversal wedged by the fault injector's stall mode
 #     (--inject=stall=1) must be terminated by the watchdog with a typed
 #     reason and agt_tool's contract exit code 4 — never a hang, never a
-#     generic failure.
+#     generic failure — on every run path: plain, --hybrid, and
+#     --checkpoint-on-error, whose emergency checkpoint must then resume
+#     (--resume, healthy device) to exit 0.
 #
 # The soak finishing at all is the no-deadlock assertion; every round
 # re-runs on a fresh engine, so a leaked gang in round N wedges round N+1.
@@ -56,7 +58,8 @@ done
 # stats workload tolerates typed terminations) and the report's service
 # section must conserve exactly — check_bench_json.py enforces the law.
 report="$(mktemp /tmp/overload_soak.XXXXXX.json)"
-trap 'rm -f "${report}"' EXIT
+ckpt="$(mktemp /tmp/overload_soak.XXXXXX.ckpt)"
+trap 'rm -f "${report}" "${ckpt}"' EXIT
 echo "=== overload soak: agt_tool stats under shed admission ==="
 ./build/tools/agt_tool stats --scale=12 --threads=2 --jobs=12 \
   --max-pending=4 --admission=shed --mix-priority \
@@ -80,13 +83,27 @@ PY
 # End-to-end stall pass: every SEM read wedges until the watchdog's abort
 # hint lands; the job must terminate typed (deadline or stall) within the
 # configured windows, and agt_tool must report it via exit code 4.
-echo "=== overload soak: watchdog vs injected stall ==="
-rc=0
-./build/tools/agt_tool bfs --sem --scale=12 --threads=4 \
-  --inject=stall=1 --stall-grace-ms=300 --deadline-ms=10000 || rc=$?
-if [[ "${rc}" -ne 4 ]]; then
-  echo "expected exit code 4 (deadline/stall termination), got ${rc}" >&2
+# Hybrid and checkpointed runs are engine jobs too, so the same wedge must
+# end them the same way.
+rm -f "${ckpt}"
+for path in "" "--hybrid" "--checkpoint-on-error=${ckpt}"; do
+  echo "=== overload soak: watchdog vs injected stall (bfs ${path:-plain}) ==="
+  rc=0
+  ./build/tools/agt_tool bfs --sem --scale=12 --threads=4 ${path} \
+    --inject=stall=1 --stall-grace-ms=300 --deadline-ms=10000 || rc=$?
+  if [[ "${rc}" -ne 4 ]]; then
+    echo "expected exit code 4 (deadline/stall termination), got ${rc}" >&2
+    exit 1
+  fi
+done
+
+# The emergency checkpoint the wedged run left behind resumes on a healthy
+# device (the demo graph is regenerated identically from --scale/--seed).
+echo "=== overload soak: resume from the stall checkpoint ==="
+if [[ ! -s "${ckpt}" ]]; then
+  echo "the wedged --checkpoint-on-error run wrote no checkpoint" >&2
   exit 1
 fi
+./build/tools/agt_tool bfs --sem --scale=12 --threads=4 --resume="${ckpt}"
 
 echo "overload soak passed (${ROUNDS} rounds)"
