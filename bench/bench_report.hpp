@@ -272,14 +272,14 @@ class bench_report {
   /// Null unless --trace was given.
   telemetry::trace_writer* trace() noexcept { return trace_.get(); }
 
-  /// Wires the telemetry sinks into a queue config (and starts the sampler
-  /// on first use). No-op without --json/--trace, so benches can call this
-  /// unconditionally and keep the zero-overhead default.
-  void attach(visitor_queue_config& cfg) {
+  /// Wires the telemetry sinks into traversal options (and starts the
+  /// sampler on first use). No-op without --json/--trace, so benches can
+  /// call this unconditionally and keep the zero-overhead default.
+  void attach(traversal_options& opts) {
     if (!enabled()) return;
-    cfg.metrics = &registry_;
-    cfg.trace = trace_.get();
-    cfg.sampler = &sampler_;
+    opts.metrics = &registry_;
+    opts.queue.trace = trace_.get();
+    opts.queue.sampler = &sampler_;
     if (stats_dump_every_ > 0 && !dumper_) {
       dumper_ = std::make_unique<telemetry::stats_dumper>(&registry_);
       // Runs on the sampler thread; the dumper serializes internally.
@@ -361,7 +361,7 @@ class bench_report {
 
  private:
   telemetry::report report_;
-  telemetry::metrics_registry registry_{64};
+  telemetry::metrics_registry registry_;
   telemetry::sampler sampler_;
   std::unique_ptr<telemetry::trace_writer> trace_;
   std::unique_ptr<telemetry::stats_dumper> dumper_;

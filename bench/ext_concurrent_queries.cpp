@@ -132,11 +132,11 @@ int main(int argc, char** argv) {
          "(docs/observability.md)");
 
   bench_report rep(opt, "ext_concurrent_queries");
-  rep.attach(topt.queue);
+  rep.attach(topt);
   // The conservation checks below need the registry even without --json,
   // so wire it unconditionally (attach() is a no-op when nothing was
   // requested on the command line).
-  topt.queue.metrics = &rep.metrics();
+  topt.metrics = &rep.metrics();
 
   // Weighted so the SSSP jobs are non-trivial and comparable to Dijkstra.
   const csr32 g = add_weights(rmat_graph_undirected<vertex32>(rmat_a(scale, 42)),

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
          "dynamic-graph extension (docs/dynamic_graphs.md)");
 
   bench_report rep(opt, "ext_incremental");
-  rep.attach(topt.queue);
+  rep.attach(topt);
 
   // Symmetric weighted base: one graph serves all three algorithms (CC
   // needs the symmetry; SSSP the weights; BFS ignores them). Deliberately

@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
       std::vector<double> t_async;
       std::vector<bfs_result<vertex32>> async_runs;
       for (const auto t : threads) {
-        visitor_queue_config cfg;
-        cfg.num_threads = static_cast<std::size_t>(t);
+        traversal_options cfg;
+        cfg.queue.num_threads = static_cast<std::size_t>(t);
         rep.attach(cfg);
         bfs_result<vertex32> r;
         t_async.push_back(

@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
         auto bundle = scfg.open<vertex32>();
         sem::sem_csr32& sg = *bundle.graph;
 
-        visitor_queue_config cfg = topt.queue;
-        bundle.wire_queue(cfg);
+        traversal_options cfg = topt.queue;
+        bundle.wire_queue(cfg.queue);
         rep.attach(cfg);
         bfs_result<vertex32> sem_r;
         const double t_sem =
@@ -171,9 +171,9 @@ int main(int argc, char** argv) {
           sem::ssd_model dev1(devices[d]);
           sem::sem_config scfg1 = scfg;
           auto bundle1 = scfg1.with_device(&dev1).open<vertex32>();
-          visitor_queue_config cfg1 = cfg;
-          bundle1.wire_queue(cfg1);
-          cfg1.num_threads = 1;
+          traversal_options cfg1 = cfg;
+          bundle1.wire_queue(cfg1.queue);
+          cfg1.queue.num_threads = 1;
           t_sem1 = time_seconds([&] { async_bfs(*bundle1.graph, start, cfg1); });
           overs_gain.push_back(t_sem1 / t_sem);
         }

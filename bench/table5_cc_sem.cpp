@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
       auto bundle = scfg.open<vertex32>();
       sem::sem_csr32& sg = *bundle.graph;
 
-      visitor_queue_config cfg = topt.queue;
-      bundle.wire_queue(cfg);
+      traversal_options cfg = topt.queue;
+      bundle.wire_queue(cfg.queue);
       rep.attach(cfg);
       cc_result<vertex32> sem_r;
       const double t_sem = time_seconds([&] { sem_r = async_cc(sg, cfg); });

@@ -64,16 +64,15 @@ struct bfs_visitor {
 };
 
 /// Moves a finished BFS-shaped state (level, parent, updates) into its
-/// result, recording the work counters under `algo` when `metrics` is set.
+/// result, recording the work counters under `algo` into the job's registry.
 template <typename State>
-auto take_bfs_result(State& s, queue_run_stats stats,
-                     telemetry::metrics_registry* metrics, const char* algo) {
+auto take_bfs_result(State& s, queue_run_stats stats, const char* algo) {
   bfs_result<typename decltype(s.parent)::value_type> out;
   out.level = std::move(s.level);
   out.parent = std::move(s.parent);
   out.stats = std::move(stats);
   out.updates = s.updates.total();
-  if (metrics != nullptr) out.work().record(*metrics, algo);
+  out.work().record(algo);
   return out;
 }
 
@@ -88,14 +87,13 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_bfs(
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_bfs: start vertex out of range");
   }
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_traversal<bfs_visitor<V>>(
       opts, bfs_state<Graph>(g, resolve_threads(opts)),
       [start](auto& q, bfs_state<Graph>&) {
         q.push(bfs_visitor<V>{start, start, 0});
       },
-      [metrics](bfs_state<Graph>& s, queue_run_stats stats) {
-        return take_bfs_result(s, std::move(stats), metrics, "bfs");
+      [](bfs_state<Graph>& s, queue_run_stats stats) {
+        return take_bfs_result(s, std::move(stats), "bfs");
       },
       "bfs");
 }

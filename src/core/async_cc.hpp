@@ -67,13 +67,12 @@ struct cc_visitor {
 /// Moves a finished CC-shaped state (ccid, updates) into its result; see
 /// take_bfs_result.
 template <typename State>
-auto take_cc_result(State& s, queue_run_stats stats,
-                    telemetry::metrics_registry* metrics, const char* algo) {
+auto take_cc_result(State& s, queue_run_stats stats, const char* algo) {
   cc_result<typename decltype(s.ccid)::value_type> out;
   out.component = std::move(s.ccid);
   out.stats = std::move(stats);
   out.updates = s.updates.total();
-  if (metrics != nullptr) out.work().record(*metrics, algo);
+  out.work().record(algo);
   return out;
 }
 
@@ -84,12 +83,11 @@ template <typename Graph>
 job<cc_result<typename Graph::vertex_id>> engine::submit_cc(
     const Graph& g, std::optional<traversal_options> opts) {
   using V = typename Graph::vertex_id;
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_seeded<cc_visitor<V>>(
       opts, cc_state<Graph>(g, resolve_threads(opts)), g.num_vertices(),
       [](V v) { return cc_visitor<V>{v, v}; },
-      [metrics](cc_state<Graph>& s, queue_run_stats stats) {
-        return take_cc_result(s, std::move(stats), metrics, "cc");
+      [](cc_state<Graph>& s, queue_run_stats stats) {
+        return take_cc_result(s, std::move(stats), "cc");
       },
       "cc");
 }

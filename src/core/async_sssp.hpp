@@ -71,14 +71,13 @@ struct sssp_visitor {
 
 /// Moves a finished SSSP state into its result; see take_bfs_result.
 template <typename State>
-auto take_sssp_result(State& s, queue_run_stats stats,
-                      telemetry::metrics_registry* metrics, const char* algo) {
+auto take_sssp_result(State& s, queue_run_stats stats, const char* algo) {
   sssp_result<typename decltype(s.parent)::value_type> out;
   out.dist = std::move(s.dist);
   out.parent = std::move(s.parent);
   out.stats = std::move(stats);
   out.updates = s.updates.total();
-  if (metrics != nullptr) out.work().record(*metrics, algo);
+  out.work().record(algo);
   return out;
 }
 
@@ -91,14 +90,13 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_sssp(
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_sssp: start vertex out of range");
   }
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_traversal<sssp_visitor<V>>(
       opts, sssp_state<Graph>(g, resolve_threads(opts)),
       [start](auto& q, sssp_state<Graph>&) {
         q.push(sssp_visitor<V>{start, start, 0});
       },
-      [metrics](sssp_state<Graph>& s, queue_run_stats stats) {
-        return take_sssp_result(s, std::move(stats), metrics, "sssp");
+      [](sssp_state<Graph>& s, queue_run_stats stats) {
+        return take_sssp_result(s, std::move(stats), "sssp");
       },
       "sssp");
 }

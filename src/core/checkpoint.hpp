@@ -195,14 +195,13 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_checkpointed_bfs(
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_bfs: start vertex out of range");
   }
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_traversal<bfs_visitor<V>>(
       opts, bfs_state<Graph>(g, resolve_threads(opts)),
       [start](auto& q, bfs_state<Graph>&) {
         q.push(bfs_visitor<V>{start, start, 0});
       },
-      [metrics](bfs_state<Graph>& s, queue_run_stats stats) {
-        return take_bfs_result(s, std::move(stats), metrics, "bfs");
+      [](bfs_state<Graph>& s, queue_run_stats stats) {
+        return take_bfs_result(s, std::move(stats), "bfs");
       },
       "checkpointed_bfs",
       [start, path = std::move(checkpoint_path)](bfs_state<Graph>& s) {
@@ -222,14 +221,13 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_checkpointed_sssp(
   if (start >= g.num_vertices()) {
     throw std::out_of_range("async_sssp: start vertex out of range");
   }
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_traversal<sssp_visitor<V>>(
       opts, sssp_state<Graph>(g, resolve_threads(opts)),
       [start](auto& q, sssp_state<Graph>&) {
         q.push(sssp_visitor<V>{start, start, 0});
       },
-      [metrics](sssp_state<Graph>& s, queue_run_stats stats) {
-        return take_sssp_result(s, std::move(stats), metrics, "sssp");
+      [](sssp_state<Graph>& s, queue_run_stats stats) {
+        return take_sssp_result(s, std::move(stats), "sssp");
       },
       "checkpointed_sssp",
       [start, path = std::move(checkpoint_path)](sssp_state<Graph>& s) {
@@ -258,7 +256,7 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_resume_bfs(
         detail::resume_step<bfs_visitor<V>, true>(ctl, ctl.state.level);
       },
       [](bfs_state<Graph>& s, queue_run_stats stats) {
-        return take_bfs_result(s, std::move(stats), nullptr, "bfs");
+        return take_bfs_result(s, std::move(stats), "bfs");
       },
       "resume_bfs");
 }
@@ -281,7 +279,7 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_resume_sssp(
         detail::resume_step<sssp_visitor<V>, false>(ctl, ctl.state.dist);
       },
       [](sssp_state<Graph>& s, queue_run_stats stats) {
-        return take_sssp_result(s, std::move(stats), nullptr, "sssp");
+        return take_sssp_result(s, std::move(stats), "sssp");
       },
       "resume_sssp");
 }

@@ -245,9 +245,9 @@ void require_reverse(const Graph& g, const char* what) {
 }
 
 /// Shared finalize tail (attributed to the job): sweep work counts as
-/// visits in the result and the job's scope; the breakdown is published.
+/// visits in the result and the job's scope; the breakdown is published and
+/// the direction metrics are recorded into the job's registry.
 inline void finish_hybrid(hybrid_common& s, queue_run_stats& stats,
-                          telemetry::metrics_registry* metrics,
                           hybrid_extra* out, const char* algo) {
   stats.visits += s.sweep_visits;
   if (telemetry::metric_scope* sc = telemetry::metric_scope::current()) {
@@ -255,11 +255,14 @@ inline void finish_hybrid(hybrid_common& s, queue_run_stats& stats,
             telemetry::metric_scope::current_shard(), s.sweep_visits);
   }
   s.extra.edge_inspections = s.inspected.total();
-  if (metrics != nullptr) {
-    metrics->get_counter("engine.direction_switches")
-        .add(0, s.extra.direction_switches);
-    metrics->get_counter(std::string(algo) + ".edge_inspections")
-        .add(0, s.extra.edge_inspections);
+  if (telemetry::metrics_registry* m =
+          telemetry::metric_scope::current_metrics()) {
+    m->get_counter("engine.direction_switches")
+        .add(s.extra.direction_switches);
+    m->get_counter(std::string(algo) + ".edge_inspections")
+        .add(s.extra.edge_inspections);
+    m->get_gauge("queue.frontier_peak")
+        .record_max(static_cast<std::int64_t>(s.est->peak_queued()));
   }
   if (out != nullptr) *out = std::move(s.extra);
 }
@@ -431,13 +434,12 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_hybrid_bfs(
   hybrid_bfs_state<Graph> state(g, start, t.queue.num_threads,
                                 t.hybrid_alpha, t.hybrid_beta);
   t.queue.estimator = state.est.get();
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_phased<hybrid_bfs_visitor<V>>(
       std::move(t), std::move(state),
       [](auto& ctl) { detail::hybrid_bfs_step(ctl); },
-      [metrics, extra](hybrid_bfs_state<Graph>& s, queue_run_stats stats) {
-        detail::finish_hybrid(s, stats, metrics, extra, "hybrid_bfs");
-        return take_bfs_result(s, std::move(stats), metrics, "hybrid_bfs");
+      [extra](hybrid_bfs_state<Graph>& s, queue_run_stats stats) {
+        detail::finish_hybrid(s, stats, extra, "hybrid_bfs");
+        return take_bfs_result(s, std::move(stats), "hybrid_bfs");
       },
       "hybrid_bfs");
 }
@@ -462,13 +464,12 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_hybrid_cc(
   hybrid_cc_state<Graph> state(g, t.queue.num_threads, t.hybrid_alpha,
                                t.hybrid_beta);
   t.queue.estimator = state.est.get();
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
   return submit_phased<hybrid_cc_visitor<V>>(
       std::move(t), std::move(state),
       [](auto& ctl) { detail::hybrid_cc_step(ctl); },
-      [metrics, extra](hybrid_cc_state<Graph>& s, queue_run_stats stats) {
-        detail::finish_hybrid(s, stats, metrics, extra, "hybrid_cc");
-        return take_cc_result(s, std::move(stats), metrics, "hybrid_cc");
+      [extra](hybrid_cc_state<Graph>& s, queue_run_stats stats) {
+        detail::finish_hybrid(s, stats, extra, "hybrid_cc");
+        return take_cc_result(s, std::move(stats), "hybrid_cc");
       },
       "hybrid_cc");
 }

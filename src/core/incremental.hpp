@@ -263,39 +263,45 @@ void require_reverse_for_deletes(const overlay_view<Graph>& g,
   }
 }
 
+/// What a repair job records at delivery: the plan's reseed count and the
+/// overlay counters of the epoch it pinned, both taken at submit.
+struct repair_record {
+  std::uint64_t reseeded = 0;
+  overlay_counters overlay;
+
+  /// Called from finalize, under the job's attribution: completes the
+  /// caller's extra and records the incremental.* counters and overlay.*
+  /// gauges into the job's registry — so a refused submit records nothing.
+  void record(incremental_extra* extra, const queue_run_stats& stats) const {
+    if (extra != nullptr) extra->repair_visits = stats.visits;
+    telemetry::metrics_registry* m =
+        telemetry::metric_scope::current_metrics();
+    if (m == nullptr) return;
+    m->get_counter("incremental.reseeded_vertices").add(reseeded);
+    m->get_counter("incremental.repair_visits").add(stats.visits);
+    m->get_gauge("overlay.live_inserts")
+        .set(static_cast<std::int64_t>(overlay.live_inserts));
+    m->get_gauge("overlay.live_deletes")
+        .set(static_cast<std::int64_t>(overlay.live_deletes));
+    m->get_gauge("overlay.patched_pairs")
+        .set(static_cast<std::int64_t>(overlay.patched_pairs));
+    m->get_gauge("overlay.epoch")
+        .record_max(static_cast<std::int64_t>(overlay.epoch));
+  }
+};
+
 /// Hands the plan's accounting to the caller's extra (synchronously, at
-/// submit) and publishes the overlay gauges.
+/// submit) and returns what the job records once it ran.
 template <typename Graph, typename VertexId>
-void publish_plan(incremental_extra* extra,
-                  telemetry::metrics_registry* metrics,
-                  const overlay_view<Graph>& g,
-                  const repair_plan<VertexId>& plan) {
+repair_record publish_plan(incremental_extra* extra,
+                           const overlay_view<Graph>& g,
+                           const repair_plan<VertexId>& plan) {
   if (extra != nullptr) {
     extra->affected = plan.affected;
     extra->reseeded_vertices = plan.reseeded;
     extra->repair_visits = 0;
   }
-  if (metrics == nullptr) return;
-  metrics->get_counter("incremental.reseeded_vertices").add(0, plan.reseeded);
-  const overlay_counters oc = g.overlay().counters();
-  metrics->get_gauge("overlay.live_inserts")
-      .set(static_cast<std::int64_t>(oc.live_inserts));
-  metrics->get_gauge("overlay.live_deletes")
-      .set(static_cast<std::int64_t>(oc.live_deletes));
-  metrics->get_gauge("overlay.patched_pairs")
-      .set(static_cast<std::int64_t>(oc.patched_pairs));
-  metrics->get_gauge("overlay.epoch")
-      .record_max(static_cast<std::int64_t>(oc.epoch));
-}
-
-/// Records a finished repair's visit count (called from finalize).
-inline void record_repair(incremental_extra* extra,
-                          telemetry::metrics_registry* metrics,
-                          const queue_run_stats& stats) {
-  if (extra != nullptr) extra->repair_visits = stats.visits;
-  if (metrics != nullptr) {
-    metrics->get_counter("incremental.repair_visits").add(0, stats.visits);
-  }
+  return {plan.reseeded, g.overlay().counters()};
 }
 
 }  // namespace incr_detail
@@ -320,11 +326,9 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_incremental_bfs(
   }
   incr_detail::require_reverse_for_deletes(g, delta,
                                            "submit_incremental_bfs");
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
-
   auto plan = incr_detail::plan_distance_repair<true>(g, delta, prior.level,
                                                       prior.parent);
-  incr_detail::publish_plan(extra, metrics, g, plan);
+  const auto rec = incr_detail::publish_plan(extra, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
@@ -333,10 +337,9 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_incremental_bfs(
 
   auto tj = make_typed_job<bfs_visitor<V>>(
       opts, std::move(state), run_once,
-      [metrics, extra](state_t& s, queue_run_stats stats) {
-        incr_detail::record_repair(extra, metrics, stats);
-        return take_bfs_result(s, std::move(stats), metrics,
-                               "incremental_bfs");
+      [rec, extra](state_t& s, queue_run_stats stats) {
+        rec.record(extra, stats);
+        return take_bfs_result(s, std::move(stats), "incremental_bfs");
       },
       "incremental_bfs");
   tj->scope->delta_epoch = g.epoch();
@@ -364,11 +367,9 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_incremental_sssp(
   }
   incr_detail::require_reverse_for_deletes(g, delta,
                                            "submit_incremental_sssp");
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
-
   auto plan = incr_detail::plan_distance_repair<false>(g, delta, prior.dist,
                                                        prior.parent);
-  incr_detail::publish_plan(extra, metrics, g, plan);
+  const auto rec = incr_detail::publish_plan(extra, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
@@ -377,10 +378,9 @@ job<sssp_result<typename Graph::vertex_id>> engine::submit_incremental_sssp(
 
   auto tj = make_typed_job<sssp_visitor<V>>(
       opts, std::move(state), run_once,
-      [metrics, extra](state_t& s, queue_run_stats stats) {
-        incr_detail::record_repair(extra, metrics, stats);
-        return take_sssp_result(s, std::move(stats), metrics,
-                                "incremental_sssp");
+      [rec, extra](state_t& s, queue_run_stats stats) {
+        rec.record(extra, stats);
+        return take_sssp_result(s, std::move(stats), "incremental_sssp");
       },
       "incremental_sssp");
   tj->scope->delta_epoch = g.epoch();
@@ -409,10 +409,8 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_incremental_cc(
         "submit_incremental_cc: prior labels sized for a different graph");
   }
   incr_detail::require_reverse_for_deletes(g, delta, "submit_incremental_cc");
-  telemetry::metrics_registry* metrics = resolve_metrics(opts);
-
   auto plan = incr_detail::plan_cc_repair(g, delta, prior.component);
-  incr_detail::publish_plan(extra, metrics, g, plan);
+  const auto rec = incr_detail::publish_plan(extra, g, plan);
 
   auto view = std::make_shared<const view_t>(g);
   state_t state(view, resolve_threads(opts));
@@ -420,9 +418,9 @@ job<cc_result<typename Graph::vertex_id>> engine::submit_incremental_cc(
 
   auto tj = make_typed_job<cc_visitor<V>>(
       opts, std::move(state), run_once,
-      [metrics, extra](state_t& s, queue_run_stats stats) {
-        incr_detail::record_repair(extra, metrics, stats);
-        return take_cc_result(s, std::move(stats), metrics, "incremental_cc");
+      [rec, extra](state_t& s, queue_run_stats stats) {
+        rec.record(extra, stats);
+        return take_cc_result(s, std::move(stats), "incremental_cc");
       },
       "incremental_cc");
   tj->scope->delta_epoch = g.epoch();

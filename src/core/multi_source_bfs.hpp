@@ -42,7 +42,7 @@ job<bfs_result<typename Graph::vertex_id>> engine::submit_multi_source_bfs(
         for (const V s : sources) q.push(bfs_visitor<V>{s, s, 0});
       },
       [](bfs_state<Graph>& s, queue_run_stats stats) {
-        return take_bfs_result(s, std::move(stats), nullptr, "msbfs");
+        return take_bfs_result(s, std::move(stats), "msbfs");
       },
       "msbfs");
 }

@@ -52,25 +52,20 @@ struct traversal_work {
   std::uint64_t wasted_visits = 0;
   std::uint64_t label_corrections = 0;
 
-  /// Records the work proxies as "<algo>.*" counters (shard 0; called once
-  /// per run from the driver, never from the hot path). When the calling
-  /// thread carries an ambient metric_scope (the service engine wraps job
-  /// finalizers in one), the same counters land in the job's named deltas,
-  /// so per-job <algo>.* sums conserve against the shared registry.
-  void record(telemetry::metrics_registry& reg, const char* algo) const {
-    record_into(reg, algo);
-    if (telemetry::metric_scope* sc = telemetry::metric_scope::current()) {
-      record_into(sc->deltas(), algo);
-    }
-  }
-
-  void record_into(telemetry::metrics_registry& reg, const char* algo) const {
+  /// Records the work proxies as "<algo>.*" counters into the registry of
+  /// the job the calling thread works for — the engine runs finalizers
+  /// under the job's attribution — once per job, never from the hot path.
+  /// A no-op when the job carries no registry.
+  void record(const char* algo) const {
+    telemetry::metrics_registry* reg =
+        telemetry::metric_scope::current_metrics();
+    if (reg == nullptr) return;
     const std::string p(algo);
-    reg.get_counter(p + ".visits").add(0, visits);
-    reg.get_counter(p + ".updates").add(0, updates);
-    reg.get_counter(p + ".relaxed_vertices").add(0, relaxed_vertices);
-    reg.get_counter(p + ".wasted_visits").add(0, wasted_visits);
-    reg.get_counter(p + ".label_corrections").add(0, label_corrections);
+    reg->get_counter(p + ".visits").add(visits);
+    reg->get_counter(p + ".updates").add(updates);
+    reg->get_counter(p + ".relaxed_vertices").add(relaxed_vertices);
+    reg->get_counter(p + ".wasted_visits").add(wasted_visits);
+    reg->get_counter(p + ".label_corrections").add(label_corrections);
   }
 };
 

@@ -12,7 +12,6 @@
 
 #include "queue/frontier_estimator.hpp"
 #include "telemetry/metric_scope.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/trace_writer.hpp"
 
@@ -62,9 +61,8 @@ struct visitor_queue_config {
 
   /// Optional telemetry sinks (all borrowed, all nullable — null means the
   /// corresponding instrumentation compiles to a predictable branch).
-  telemetry::metrics_registry* metrics = nullptr;  ///< flushed at end of run
-  telemetry::trace_writer* trace = nullptr;        ///< per-visit spans
-  telemetry::sampler* sampler = nullptr;           ///< depth/pending probes
+  telemetry::trace_writer* trace = nullptr;  ///< per-visit spans
+  telemetry::sampler* sampler = nullptr;     ///< depth/pending probes
   /// Record a trace span for 1 visit in every `trace_sample_every` per
   /// worker (1 = every visit; tracing every visit on large graphs produces
   /// multi-GB traces).
@@ -72,21 +70,19 @@ struct visitor_queue_config {
 
   /// Per-job attribution scope (borrowed, nullable). When set, the engine
   /// installs it as the calling thread's ambient metric_scope for the
-  /// duration of every worker body (telemetry/metric_scope.hpp), marks the
-  /// job's run start, and mirrors the end-of-run queue stats into the
-  /// scope's hot counters and named deltas — so shared sinks (io_recorder,
-  /// the global registry) stay exact while the job gets its own copy.
-  /// asyncgt::engine wires one scope per submitted job; null costs nothing.
+  /// duration of every worker body (telemetry/metric_scope.hpp) and marks
+  /// the job's run start, so deep layers (io_recorder, the visitors) charge
+  /// the job. asyncgt::engine wires one scope per submitted job and
+  /// accounts each run's stats into it; null costs nothing.
   telemetry::metric_scope* scope = nullptr;
 
   /// Frontier-density estimator (borrowed, nullable). When set, every
   /// worker samples the in-flight visitor count into it at its
   /// flush-on-idle / termination-commit checkpoints — the cheap points
-  /// where the termination counter is meaningful — and the end-of-run
-  /// metrics record the observed peak as `queue.frontier_peak`. The hybrid
-  /// phase driver (core/hybrid_traversal.hpp) wires one per run to make its
-  /// direction decisions; null costs one predictable branch per idle
-  /// transition.
+  /// where the termination counter is meaningful. The hybrid phase driver
+  /// (core/hybrid_traversal.hpp) wires one per job to make its direction
+  /// decisions and records its peak as `queue.frontier_peak`; null costs
+  /// one predictable branch per idle transition.
   frontier_estimator* estimator = nullptr;
 
   /// Hot-vertex advisor (borrowed, nullable). With `order == hot` this is

@@ -67,7 +67,6 @@
 #include "queue/traversal_abort.hpp"
 #include "service/worker_pool.hpp"
 #include "util/cancellation.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/trace_writer.hpp"
 #include "util/cache_line.hpp"
@@ -613,41 +612,7 @@ class traversal_engine {
     }
     s.pushes += ext_pushes_.exchange(0, std::memory_order_relaxed);
     s.flushes += ext_flushes_.exchange(0, std::memory_order_relaxed);
-    if (cfg_.scope != nullptr) {
-      // The job's private copy: hot counters for cheap stats() reads plus
-      // the same named records the shared registry gets, so per-job deltas
-      // sum exactly to the global ones.
-      using hot = telemetry::metric_scope::hot;
-      telemetry::metric_scope& sc = *cfg_.scope;
-      sc.add(hot::visits, 0, s.visits);
-      sc.add(hot::pushes, 0, s.pushes);
-      sc.add(hot::flushes, 0, s.flushes);
-      sc.add(hot::wakeups, 0, s.wakeups);
-      record_metrics(sc.deltas(), s);
-    }
-    if (cfg_.metrics != nullptr) {
-      record_metrics(*cfg_.metrics, s);
-      if (cfg_.estimator != nullptr) {
-        cfg_.metrics->get_gauge("queue.frontier_peak")
-            .record_max(
-                static_cast<std::int64_t>(cfg_.estimator->peak_queued()));
-      }
-    }
     return s;
-  }
-
-  static void record_metrics(telemetry::metrics_registry& reg,
-                             const queue_run_stats& s) {
-    reg.get_counter("queue.runs").add(0);
-    reg.get_counter("queue.visits").add(0, s.visits);
-    reg.get_counter("queue.pushes").add(0, s.pushes);
-    reg.get_counter("queue.flushes").add(0, s.flushes);
-    reg.get_counter("queue.wakeups").add(0, s.wakeups);
-    reg.get_counter("queue.hot_pops").add(0, s.hot_pops);
-    reg.get_gauge("queue.max_queue_length")
-        .record_max(static_cast<std::int64_t>(s.max_queue_length));
-    telemetry::histogram& h = reg.get_histogram("queue.visits_per_queue");
-    for (const auto visits : s.visits_per_queue) h.record(0, visits);
   }
 
   /// First-error latch, written once per aborted run under fail_mu_.

@@ -36,12 +36,14 @@
 // saturate a flash device.
 //
 // Observability. The config optionally carries telemetry sinks (see
-// docs/observability.md): a metrics_registry each run flushes its counters
-// into, a trace_writer that receives per-visit spans sampled 1-in-N plus
-// worker sleep spans, and a sampler that gets queue-depth / pending probes
-// registered for the duration of the run. All sinks default to null and the
-// hot loop tests one cached bool per feature, keeping the disabled-sinks
-// overhead within the documented <2% budget (bench/micro_primitives).
+// docs/observability.md): a trace_writer that receives per-visit spans
+// sampled 1-in-N plus worker sleep spans, a sampler that gets queue-depth /
+// pending probes registered for the duration of the run, and the job's
+// metric_scope, installed as every worker body's ambient attribution. The
+// queue records no named metric: each run hands its queue_run_stats to the
+// completion callback, and the service engine accounts them. All sinks
+// default to null and the hot loop tests one cached pointer per feature;
+// bench/micro_primitives measures what they cost.
 //
 // Visitor concept (see src/core for the algorithm visitors):
 //   VertexId vertex() const;                  -- routing key

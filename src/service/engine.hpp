@@ -23,9 +23,10 @@
 // cancelled job unwinds promptly and surfaces traversal_aborted), a live
 // pending() frontier probe, and per-job stats in the result. Telemetry
 // sinks resolve per job: options attached to the submit win, engine
-// defaults fill the gaps, and the engine stamps the service.jobs counter
-// and service.pool.spawned_threads gauge into whichever registry the job
-// carries — a warm engine shows the gauge frozen at the pool width.
+// defaults fill the gaps, and once a job is admitted the engine stamps the
+// service.jobs counter and service.pool.spawned_threads gauge into
+// whichever registry the job carries — a warm engine shows the gauge frozen
+// at the pool width.
 //
 // One run path: every job is a phased job (submit_phased) — queue runs and
 // gang sweeps over one state and one queue, chained from the pool thread
@@ -536,9 +537,7 @@ class engine {
   };
 
   // Option resolution visible to the out-of-class submit_* definitions in
-  // core/*.hpp: the thread count sizes the per-job state shards, and the
-  // resolved metrics sink lets finalize record per-algorithm work counters
-  // with the same opts-win-defaults-fill rule prepare_config applies.
+  // core/*.hpp: the thread count sizes the per-job state shards.
   const traversal_options& resolve(
       const std::optional<traversal_options>& opts) const noexcept {
     return opts.has_value() ? *opts : defaults_;
@@ -547,12 +546,6 @@ class engine {
   std::size_t resolve_threads(
       const std::optional<traversal_options>& opts) const noexcept {
     return resolve(opts).queue.num_threads;
-  }
-
-  telemetry::metrics_registry* resolve_metrics(
-      const std::optional<traversal_options>& opts) const noexcept {
-    telemetry::metrics_registry* m = resolve(opts).queue.metrics;
-    return m != nullptr ? m : defaults_.queue.metrics;
   }
 
   template <typename Visitor, typename State, typename Step,
@@ -591,45 +584,32 @@ class engine {
     }
   };
 
-  /// Resolves options against engine defaults, pins the job to this
-  /// engine's pool, grows the pool to the job's width, and stamps the
-  /// service metrics into the job's registry (if any).
-  visitor_queue_config prepare_config(
-      const std::optional<traversal_options>& opts) {
-    const traversal_options& t = opts.has_value() ? *opts : defaults_;
-    visitor_queue_config cfg = t.queue;
-    if (cfg.metrics == nullptr) cfg.metrics = defaults_.queue.metrics;
-    if (cfg.trace == nullptr) cfg.trace = defaults_.queue.trace;
-    if (cfg.sampler == nullptr) cfg.sampler = defaults_.queue.sampler;
-    cfg.pool = &pool_;
-    cfg.validate();
-    pool_.ensure_threads(cfg.num_threads);
-    if (cfg.metrics != nullptr) {
-      cfg.metrics->get_counter("service.jobs").add(0);
-      cfg.metrics->get_gauge("service.pool.spawned_threads")
-          .record_max(static_cast<std::int64_t>(pool_.threads_spawned()));
-    }
-    return cfg;
-  }
-
+  /// Resolves options against engine defaults (the submit's sinks win,
+  /// the defaults' fill the gaps), pins the job to this engine's pool,
+  /// grows the pool to the job's width, and builds the job's scope.
   template <typename Visitor, typename State, typename Step,
             typename Finalize>
   auto make_typed_job(const std::optional<traversal_options>& opts,
                       State state, Step step, Finalize finalize,
                       const char* label,
                       abort_hook<State> on_abort = nullptr) {
-    visitor_queue_config cfg = prepare_config(opts);
+    const traversal_options& t = resolve(opts);
+    visitor_queue_config cfg = t.queue;
+    if (cfg.trace == nullptr) cfg.trace = defaults_.queue.trace;
+    if (cfg.sampler == nullptr) cfg.sampler = defaults_.queue.sampler;
+    cfg.pool = &pool_;
+    cfg.validate();
+    pool_.ensure_threads(cfg.num_threads);
     // One attribution scope per job, installed into the config BEFORE the
-    // queue is built so every worker body and end-of-run stats mirror runs
-    // against it (queue/traversal_engine.hpp).
+    // queue is built so every worker body runs against it
+    // (queue/traversal_engine.hpp).
     auto scope = std::make_shared<service::job_scope_state>(
         next_job_id_.fetch_add(1, std::memory_order_relaxed), label,
-        cfg.num_threads);
-    scope->metrics = cfg.metrics;
+        cfg.num_threads,
+        t.metrics != nullptr ? t.metrics : defaults_.metrics);
     scope->trace = cfg.trace;
     // Robustness parameters are fixed here, before the job is visible to
     // the admission layer or watchdog.
-    const traversal_options& t = resolve(opts);
     scope->deadline_ms = t.deadline_ms;
     scope->stall_grace_ms = t.stall_grace_ms;
     scope->priority = t.priority;
@@ -643,8 +623,9 @@ class engine {
   }
 
   /// First step (a throw reaches the submitter), admission (may block,
-  /// throw admission_rejected, or shed a victim; nothing is held before
-  /// it passes), control block, watchdog, first launch.
+  /// throw admission_rejected, or shed a victim; nothing is held or
+  /// recorded but service.rejected before it passes), control block,
+  /// watchdog, first launch.
   template <typename TypedJob>
   auto start_job(std::shared_ptr<TypedJob> tj)
       -> job<typename TypedJob::result_type> {
@@ -662,6 +643,11 @@ class engine {
     tj->control = control;
     submitted_.fetch_add(1, std::memory_order_relaxed);
     admit(tj->scope, control->cancel);  // throws admission_rejected
+    if (telemetry::metrics_registry* m = tj->scope->scope.metrics()) {
+      m->get_counter("service.jobs").add();
+      m->get_gauge("service.pool.spawned_threads")
+          .record_max(static_cast<std::int64_t>(pool_.threads_spawned()));
+    }
     job<typename TypedJob::result_type> handle(tj->promise.get_future(),
                                                control);
     if (tj->scope->deadline_ms > 0 || tj->scope->stall_grace_ms > 0) {
@@ -686,6 +672,7 @@ class engine {
     try {
       launch([this, tj](queue_run_stats stats, std::exception_ptr e) {
         ++tj->phases;
+        record_phase(tj->scope->scope, stats);
         tj->total.merge(stats);
         if (e == nullptr) {
           try {
@@ -705,14 +692,40 @@ class engine {
     }
   }
 
+  /// Accounts one finished phase into the job's hot counters and its
+  /// registry: the only writer of the job's queue counters and of the
+  /// queue.* metrics, both from the same numbers, so Σ job == Δ global holds
+  /// by construction. A gang sweep reports no lanes and is not a queue run.
+  static void record_phase(telemetry::metric_scope& sc,
+                           const queue_run_stats& s) {
+    if (s.visits_per_queue.empty()) return;
+    using hot = telemetry::metric_scope::hot;
+    sc.add(hot::visits, 0, s.visits);
+    sc.add(hot::pushes, 0, s.pushes);
+    sc.add(hot::flushes, 0, s.flushes);
+    sc.add(hot::wakeups, 0, s.wakeups);
+    telemetry::metrics_registry* reg = sc.metrics();
+    if (reg == nullptr) return;
+    reg->get_counter("queue.runs").add();
+    reg->get_counter("queue.visits").add(s.visits);
+    reg->get_counter("queue.pushes").add(s.pushes);
+    reg->get_counter("queue.flushes").add(s.flushes);
+    reg->get_counter("queue.wakeups").add(s.wakeups);
+    reg->get_counter("queue.hot_pops").add(s.hot_pops);
+    reg->get_gauge("queue.max_queue_length")
+        .record_max(static_cast<std::int64_t>(s.max_queue_length));
+    telemetry::histogram& h = reg->get_histogram("queue.visits_per_queue");
+    for (const auto visits : s.visits_per_queue) h.record(visits);
+  }
+
   /// Delivers the result (finalize) or the error (after the on-abort hook)
   /// through the promise, from whichever thread ended the job.
   template <typename TypedJob>
   void deliver(const std::shared_ptr<TypedJob>& tj, std::exception_ptr error) {
     std::optional<typename TypedJob::result_type> result;
     {
-      // Attributed to the job so the per-algorithm work counters finalize
-      // records mirror into its deltas.
+      // Attributed to the job: finalizers record their work counters into
+      // the job's registry (metric_scope::current_metrics).
       telemetry::metric_scope::attribution attr(&tj->scope->scope, 0);
       try {
         if (error == nullptr) {
@@ -824,8 +837,8 @@ class engine {
           victim->shed_requested = true;
           shed_requests_++;
           auto vcancel = victim->cancel;
-          if (scope->metrics != nullptr) {
-            scope->metrics->get_counter("service.shed").add(0);
+          if (telemetry::metrics_registry* m = scope->scope.metrics()) {
+            m->get_counter("service.shed").add();
           }
           lk.unlock();
           vcancel(abort_reason::shed);
@@ -848,8 +861,8 @@ class engine {
                                   service::admission_rejected::kind k,
                                   const std::string& detail) {
     ++rejected_;
-    if (scope.metrics != nullptr) {
-      scope.metrics->get_counter("service.rejected").add(0);
+    if (telemetry::metrics_registry* m = scope.scope.metrics()) {
+      m->get_counter("service.rejected").add();
     }
     throw service::admission_rejected(
         k, std::string("admission rejected (") +
@@ -945,29 +958,27 @@ class engine {
   void stamp_completion_metrics(service::job_scope_state& st,
                                 const service::job_stats& snap,
                                 service::job_outcome out, UsFn us) {
-    if (st.metrics != nullptr) {
-      st.metrics->get_counter("service.jobs.completed").add(0);
-      // The service.* robustness metric family (schema v3's service
-      // section mirrors these).
-      switch (out) {
-        case service::job_outcome::deadline_exceeded:
-          st.metrics->get_counter("service.deadline_exceeded").add(0);
-          break;
-        case service::job_outcome::stalled:
-          st.metrics->get_counter("service.stalled").add(0);
-          break;
-        case service::job_outcome::shed:
-          st.metrics->get_counter("service.shed_completed").add(0);
-          break;
-        default: break;
-      }
-      st.metrics->get_histogram("service.job.queue_wait_us")
-          .record(0, us(snap.queue_wait_seconds));
-      st.metrics->get_histogram("service.job.run_us")
-          .record(0, us(snap.run_seconds));
-      st.metrics->get_histogram("service.job.total_us")
-          .record(0, us(snap.total_seconds));
+    telemetry::metrics_registry* m = st.scope.metrics();
+    if (m == nullptr) return;
+    m->get_counter("service.jobs.completed").add();
+    // The service.* robustness metric family (schema v3's service section
+    // mirrors these).
+    switch (out) {
+      case service::job_outcome::deadline_exceeded:
+        m->get_counter("service.deadline_exceeded").add();
+        break;
+      case service::job_outcome::stalled:
+        m->get_counter("service.stalled").add();
+        break;
+      case service::job_outcome::shed:
+        m->get_counter("service.shed_completed").add();
+        break;
+      default: break;
     }
+    m->get_histogram("service.job.queue_wait_us")
+        .record(us(snap.queue_wait_seconds));
+    m->get_histogram("service.job.run_us").record(us(snap.run_seconds));
+    m->get_histogram("service.job.total_us").record(us(snap.total_seconds));
   }
 
   /// Renders the job's lifecycle as one named row in the Chrome trace:

@@ -1,13 +1,13 @@
 // Per-job statistics surface of the traversal service.
 //
 // Every job the engine admits carries a job_scope_state: the job's
-// metric_scope (telemetry/metric_scope.hpp — hot counters, named deltas,
-// lifecycle timestamps) plus the terminal flags and the telemetry sinks the
-// job resolved at submit time. job<Result>::stats() snapshots it into a
-// plain job_stats value — readable while the job runs (counters are "so
-// far") and stable after completion. The engine also keeps a ring of
-// completed snapshots (engine::recent_jobs) so short-lived jobs remain
-// introspectable after their handles are gone.
+// metric_scope (telemetry/metric_scope.hpp — hot counters, lifecycle
+// timestamps, the job's borrowed metrics registry) plus the terminal flags
+// and the trace sink the job resolved at submit time. job<Result>::stats()
+// snapshots it into a plain job_stats value — readable while the job runs
+// (counters are "so far") and stable after completion. The engine also
+// keeps a ring of completed snapshots (engine::recent_jobs) so short-lived
+// jobs remain introspectable after their handles are gone.
 #pragma once
 
 #include <atomic>
@@ -106,9 +106,9 @@ inline const char* job_outcome_name(job_outcome o) noexcept {
 struct job_scope_state {
   telemetry::metric_scope scope;
   std::atomic<int> outcome{static_cast<int>(job_outcome::running)};
-  // The sinks this job resolved at submit time (borrowed, nullable); the
-  // completion path uses them for lifecycle accounting and span emission.
-  telemetry::metrics_registry* metrics = nullptr;
+  // The trace sink this job resolved at submit time (borrowed, nullable);
+  // the completion path emits the lifecycle spans into it. The job's
+  // metrics registry is scope.metrics().
   telemetry::trace_writer* trace = nullptr;
 
   // Robustness parameters fixed at submit time (plain fields: written once
@@ -124,8 +124,9 @@ struct job_scope_state {
   // written-once-before-visible discipline as the fields above).
   std::uint64_t delta_epoch = 0;
 
-  job_scope_state(std::uint64_t job_id, std::string label, std::size_t shards)
-      : scope(job_id, std::move(label), shards) {}
+  job_scope_state(std::uint64_t job_id, std::string label, std::size_t shards,
+                  telemetry::metrics_registry* metrics)
+      : scope(job_id, std::move(label), shards, metrics) {}
 
   /// One-shot terminal-state latch; paired with the acquire in snapshot()
   /// so a reader that sees the outcome also sees the finish timestamp and

@@ -31,10 +31,18 @@
 
 namespace asyncgt {
 
+namespace telemetry {
+class metrics_registry;
+}
+
 struct traversal_options {
   /// Queue/engine knobs: thread count, pop ordering, flush batch, routing,
-  /// and the borrowed telemetry sinks (metrics/trace/sampler).
+  /// and the borrowed trace/sampler sinks.
   visitor_queue_config queue;
+
+  /// The job's named-metric sink (borrowed, nullable): the engine records
+  /// the job's queue.*, <algo>.* and service.* metrics into it.
+  telemetry::metrics_registry* metrics = nullptr;
 
   /// Transient-I/O retry budget for semi-external runs; mirrors
   /// sem::io_retry_policy{max_retries, backoff_initial_us} defaults.
@@ -118,7 +126,7 @@ struct traversal_options {
     return *this;
   }
   traversal_options& with_metrics(telemetry::metrics_registry* m) {
-    queue.metrics = m;
+    metrics = m;
     return *this;
   }
   traversal_options& with_deadline_ms(std::uint32_t ms) {

@@ -8,12 +8,12 @@ thread_local std::size_t tls_shard = 0;
 }  // namespace detail
 
 metric_scope::metric_scope(std::uint64_t job_id, std::string label,
-                           std::size_t shards)
+                           std::size_t shards, metrics_registry* metrics)
     : job_id_(job_id),
       label_(std::move(label)),
+      metrics_(metrics),
       submit_tp_(std::chrono::steady_clock::now()),
-      shards_(shards ? shards : 1),
-      deltas_(shards ? shards : 1) {}
+      shards_(shards ? shards : 1) {}
 
 double metric_scope::queue_wait_seconds() const noexcept {
   const std::int64_t run = run_start_ns_.load(std::memory_order_relaxed);

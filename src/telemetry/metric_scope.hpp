@@ -1,16 +1,8 @@
-// Per-job metric attribution over the shared metrics_registry.
+// Per-job metric attribution: one scope per submitted job.
 //
-// PR 4 made the engine a persistent multi-job service, but the registry
-// model stayed global: when J concurrent jobs share one block_cache and one
-// io_backend, every counter is pooled and per-job cost is unobservable. A
-// metric_scope is the fix: one scope per submitted job, layering *deltas*
-// over whatever shared registry the job also writes — the shared registry
-// keeps its exact pre-existing totals, and the scope accumulates the same
-// events keyed by job, so per-job sums are conserved against the global
-// deltas (tests/service/job_stats_test.cpp asserts this with J parallel
-// jobs under tsan).
-//
-// Two layers, matching the two write rates:
+// When J concurrent jobs share one block_cache and one io_backend, the
+// shared metrics_registry pools every count and per-job cost is
+// unobservable. A metric_scope keeps what job_stats reads, per job:
 //
 //   * Hot counters — a fixed enum of per-thread padded atomic slots
 //     (visits, edge inspections, io ops/bytes/retries, ...). Instrumented
@@ -23,13 +15,14 @@
 //     attribution work across components *shared* by jobs: the recorder
 //     doesn't know about jobs, the TLS does.
 //
-//   * Named deltas — a private metrics_registry holding the job's copy of
-//     the named counters the run records at completion (queue.*, <algo>.*).
-//     Written only at end-of-run / finalize time, never on the hot path.
+//   * Lifecycle timestamps (submit, first worker body, finish), the source
+//     of queue-wait/run/total latencies for the engine's lifecycle
+//     histograms and Chrome-trace job spans, and the cooperative abort hint.
 //
-// Lifecycle timestamps ride along (submit, first worker body, finish), so
-// the scope is also the source of queue-wait/run/total latencies for the
-// engine's lifecycle histograms and Chrome-trace job spans.
+// Named metrics are not kept here: the scope only borrows the job's
+// registry (metrics(), nullable), so code running under the job's
+// attribution — the engine's per-phase accounting, the algorithm
+// finalizers — records each named metric once, into the shared sink.
 #pragma once
 
 #include <array>
@@ -39,12 +32,12 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/metrics_registry.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt::telemetry {
 
 class metric_scope;
+class metrics_registry;
 
 namespace detail {
 // Ambient attribution state: the scope (and shard) the current thread's
@@ -56,8 +49,8 @@ extern thread_local std::size_t tls_shard;
 
 class metric_scope {
  public:
-  /// The fixed hot-counter set. Kept to what per-job introspection needs —
-  /// anything colder goes through the named deltas() registry.
+  /// The fixed hot-counter set: what per-job introspection (job_stats)
+  /// needs. Anything colder is a named metric in the job's registry.
   enum class hot : std::size_t {
     visits = 0,
     pushes,
@@ -72,14 +65,17 @@ class metric_scope {
   static constexpr std::size_t num_hot = static_cast<std::size_t>(hot::count);
 
   /// `shards` bounds contention-free writer slots; size it to the job's
-  /// worker thread count. The submit timestamp is taken here.
-  metric_scope(std::uint64_t job_id, std::string label, std::size_t shards);
+  /// worker thread count. `metrics` (borrowed, nullable) is the job's named
+  /// sink. The submit timestamp is taken here.
+  metric_scope(std::uint64_t job_id, std::string label, std::size_t shards,
+               metrics_registry* metrics = nullptr);
 
   metric_scope(const metric_scope&) = delete;
   metric_scope& operator=(const metric_scope&) = delete;
 
   std::uint64_t job_id() const noexcept { return job_id_; }
   const std::string& label() const noexcept { return label_; }
+  metrics_registry* metrics() const noexcept { return metrics_; }
 
   // ---- Hot counters ----
 
@@ -118,17 +114,6 @@ class metric_scope {
     }
     return sum;
   }
-
-  // ---- Named deltas ----
-
-  /// The job-private registry holding this job's copy of the named counters
-  /// recorded at end-of-run (queue.*, <algo>.*). Same sharding as the hot
-  /// counters.
-  metrics_registry& deltas() noexcept { return deltas_; }
-  const metrics_registry& deltas() const noexcept { return deltas_; }
-
-  /// Snapshot-on-completion of the named deltas.
-  metrics_snapshot delta_snapshot() const { return deltas_.scrape(); }
 
   // ---- Lifecycle timestamps ----
 
@@ -223,6 +208,13 @@ class metric_scope {
   static metric_scope* current() noexcept { return detail::tls_scope; }
   static std::size_t current_shard() noexcept { return detail::tls_shard; }
 
+  /// The registry of the job the calling thread works for (null without an
+  /// installed scope or when the job records no named metrics).
+  static metrics_registry* current_metrics() noexcept {
+    return detail::tls_scope != nullptr ? detail::tls_scope->metrics_
+                                        : nullptr;
+  }
+
   /// One adjacency scan of `n` edges on the current thread. Called by the
   /// algorithm visitors per relaxed vertex — one TLS read per scan, far off
   /// the per-edge path.
@@ -282,6 +274,7 @@ class metric_scope {
 
   const std::uint64_t job_id_;
   const std::string label_;
+  metrics_registry* const metrics_;
   const std::chrono::steady_clock::time_point submit_tp_;
   // Nanoseconds since submit; -1 = not yet.
   std::atomic<std::int64_t> run_start_ns_{-1};
@@ -300,7 +293,6 @@ class metric_scope {
     }
   };
   std::vector<padded<hot_slots>> shards_;
-  metrics_registry deltas_;
 };
 
 }  // namespace asyncgt::telemetry

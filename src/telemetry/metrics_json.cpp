@@ -1,5 +1,6 @@
 #include "telemetry/metrics_json.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -34,10 +35,19 @@ json_value to_json(const metrics_snapshot& snap) {
         json_value h = json_value::object();
         h.set("count", e.total);
         h.set("sum", e.sum);
+        // The exact range bounds the bucket interpolation, so
+        // min <= p50 <= p95 <= p99 <= max holds and a one-valued series
+        // reports that value. (A record racing the scrape may have landed
+        // its min but not yet its max.)
+        const std::uint64_t max = std::max(e.min, e.max);
+        h.set("min", e.min);
+        h.set("max", max);
+        const auto lo = static_cast<double>(e.min);
+        const auto hi = static_cast<double>(max);
         const percentile_set p = percentiles_from_log2(e.buckets);
-        h.set("p50", p.p50);
-        h.set("p95", p.p95);
-        h.set("p99", p.p99);
+        h.set("p50", std::clamp(p.p50, lo, hi));
+        h.set("p95", std::clamp(p.p95, lo, hi));
+        h.set("p99", std::clamp(p.p99, lo, hi));
         h.set("buckets", buckets_to_json(e.buckets));
         out.set(e.name, std::move(h));
         break;
@@ -174,8 +184,9 @@ bool numeric_member(const json_value& obj, const std::string& key,
 
 // Recursively enforces percentile monotonicity: any object carrying a full
 // {p50,p95,p99} or {p50_us,p95_us,p99_us} triple must satisfy
-// p50 <= p95 <= p99, and <= the sibling max (max / max_us / max_latency_us)
-// when one is present. `where` names the offending object on failure.
+// p50 <= p95 <= p99, p50 >= the sibling min (min / min_us) and p99 <= the
+// sibling max (max / max_us / max_latency_us) when one is present. `where`
+// names the offending object on failure.
 bool check_percentiles(const json_value& v, const std::string& where,
                        std::string* error) {
   if (v.is_array()) {
@@ -203,6 +214,11 @@ bool check_percentiles(const json_value& v, const std::string& where,
                              std::to_string(p50) + ", p95" + s + "=" +
                              std::to_string(p95) + ", p99" + s + "=" +
                              std::to_string(p99) + ")");
+    }
+    double mn = 0.0;
+    if (numeric_member(v, "min" + s, &mn) && p50 < mn) {
+      return fail(error, where + ": p50" + s + "=" + std::to_string(p50) +
+                             " is below recorded min=" + std::to_string(mn));
     }
     double mx = 0.0;
     if (numeric_member(v, "max" + s, &mx) ||

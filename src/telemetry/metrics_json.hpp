@@ -15,9 +15,9 @@
 // Sections hold the machine-independent metrics (queue counters, algorithm
 // work proxies, SEM cache/device telemetry, sampler series); rows hold the
 // per-configuration lines of a bench table; jobs hold one object per
-// service-submitted job (job_stats + named deltas). Version 2 additionally
+// service-submitted job (its job_stats). Version 2 additionally
 // derives p50/p95/p99 for every serialized log2 histogram — verifiers
-// enforce p50 <= p95 <= p99 (<= max where a max is recorded) on any object
+// enforce p50 <= p95 <= p99 (>= min, <= max where recorded) on any object
 // carrying the triple. Version 3 adds the robustness fields: each jobs[]
 // entry carries its terminal `outcome` ("completed" / "failed" /
 // "cancelled" / "deadline_exceeded" / "stalled" / "shed" / "running") and

@@ -4,52 +4,34 @@
 
 namespace asyncgt::telemetry {
 
-metrics_registry::metrics_registry(std::size_t shards)
-    : shards_(shards ? shards : 1) {}
-
-counter& metrics_registry::get_counter(const std::string& name) {
+template <typename Metric>
+Metric& metrics_registry::find_or_create(std::deque<Metric>& store,
+                                         metric_kind kind,
+                                         const std::string& name) {
   std::lock_guard lk(mu_);
   const auto it = by_name_.find(name);
   if (it != by_name_.end()) {
-    if (it->second.kind != metric_kind::counter) {
+    if (it->second.kind != kind) {
       throw std::logic_error("metrics_registry: '" + name +
                              "' already registered as a different kind");
     }
-    return counters_[it->second.index];
+    return store[it->second.index];
   }
-  counters_.emplace_back(shards_);
-  by_name_[name] = {metric_kind::counter, counters_.size() - 1};
-  return counters_.back();
+  store.emplace_back();
+  by_name_[name] = {kind, store.size() - 1};
+  return store.back();
+}
+
+counter& metrics_registry::get_counter(const std::string& name) {
+  return find_or_create(counters_, metric_kind::counter, name);
 }
 
 gauge& metrics_registry::get_gauge(const std::string& name) {
-  std::lock_guard lk(mu_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    if (it->second.kind != metric_kind::gauge) {
-      throw std::logic_error("metrics_registry: '" + name +
-                             "' already registered as a different kind");
-    }
-    return gauges_[it->second.index];
-  }
-  gauges_.emplace_back();
-  by_name_[name] = {metric_kind::gauge, gauges_.size() - 1};
-  return gauges_.back();
+  return find_or_create(gauges_, metric_kind::gauge, name);
 }
 
 histogram& metrics_registry::get_histogram(const std::string& name) {
-  std::lock_guard lk(mu_);
-  const auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    if (it->second.kind != metric_kind::histogram) {
-      throw std::logic_error("metrics_registry: '" + name +
-                             "' already registered as a different kind");
-    }
-    return histograms_[it->second.index];
-  }
-  histograms_.emplace_back(shards_);
-  by_name_[name] = {metric_kind::histogram, histograms_.size() - 1};
-  return histograms_.back();
+  return find_or_create(histograms_, metric_kind::histogram, name);
 }
 
 metrics_snapshot metrics_registry::scrape() const {
@@ -61,12 +43,9 @@ metrics_snapshot metrics_registry::scrape() const {
     e.name = name;
     e.kind = s.kind;
     switch (s.kind) {
-      case metric_kind::counter: {
-        const counter& c = counters_[s.index];
-        e.total = c.total();
-        e.per_shard = c.per_shard();
+      case metric_kind::counter:
+        e.total = counters_[s.index].total();
         break;
-      }
       case metric_kind::gauge:
         e.value = gauges_[s.index].get();
         break;
@@ -74,7 +53,9 @@ metrics_snapshot metrics_registry::scrape() const {
         const histogram& h = histograms_[s.index];
         e.total = h.total();
         e.sum = h.sum();
-        e.buckets = h.merged();
+        e.min = h.min();
+        e.max = h.max();
+        e.buckets = h.buckets();
         break;
       }
     }

@@ -1,72 +1,62 @@
-// Named metric registry with per-thread sharded storage.
+// The shared named-metric registry: counters, gauges and log2 histograms.
 //
-// The hot paths of the traversal engine (visitor queue pops/pushes, SEM
-// block-cache probes, algorithm relaxations) account their work into metrics
-// looked up once and then updated with a relaxed atomic add on a
-// cache-line-padded per-thread slot — no locks, no contended lines, and no
-// seq_cst fences on the fast path. Aggregation happens only at scrape()
-// time, which walks every shard under the registration mutex and returns an
-// immutable snapshot. This is the always-compiled substrate behind the
-// machine-independent counters the paper argues with (visits, wasted
-// relaxations, queue imbalance); see docs/observability.md for the catalog.
+// It is the one sink for named metrics (catalog: docs/observability.md).
+// Each record is written once, off the hot path, after its numbers are
+// final: the service engine accounts every finished queue phase into the
+// job's registry, the algorithm finalizers add their work proxies at
+// delivery, and tools stamp phase and I/O totals. Per-thread hot-path
+// counting lives in the job's metric_scope instead, so every write here is
+// one relaxed atomic on an unshared metric.
 //
 // Concurrency contract:
 //   * counter::add / gauge::set / histogram::record are safe from any
-//     thread; passing the worker's tid as `shard` avoids all sharing.
-//   * get_counter/get_gauge/get_histogram lock briefly; call them once at
-//     setup and keep the reference (stable for the registry's lifetime).
-//   * scrape() is safe concurrently with writers; it observes each shard
-//     with a relaxed load, so in-flight updates may or may not be included
-//     (exact totals are only guaranteed after the writing threads joined).
+//     thread.
+//   * get_counter/get_gauge/get_histogram lock briefly; call them once and
+//     keep the reference (stable for the registry's lifetime).
+//   * scrape() is safe concurrently with writers; it observes each metric
+//     with relaxed loads, so an in-flight update may or may not be included
+//     (exact totals are only guaranteed once the writers are done).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "util/cache_line.hpp"
-
 namespace asyncgt::telemetry {
 
-/// Monotone event count, sharded per thread.
+namespace detail {
+/// Atomically replaces `a` by `v` while `v` beats it (high/low-water mark).
+template <typename T, typename Beats>
+void store_if(std::atomic<T>& a, T v, Beats beats) noexcept {
+  T cur = a.load(std::memory_order_relaxed);
+  while (beats(v, cur) &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+}  // namespace detail
+
+/// Monotone event count.
 class counter {
  public:
-  explicit counter(std::size_t shards) : slots_(shards ? shards : 1) {}
-
-  void add(std::size_t shard, std::uint64_t n = 1) noexcept {
-    slots_[shard % slots_.size()].value.fetch_add(n,
-                                                  std::memory_order_relaxed);
+  void add(std::uint64_t n = 1) noexcept {
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
-
   std::uint64_t total() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& s : slots_) sum += s.value.load(std::memory_order_relaxed);
-    return sum;
+    return v_.load(std::memory_order_relaxed);
   }
-
-  std::vector<std::uint64_t> per_shard() const {
-    std::vector<std::uint64_t> out;
-    out.reserve(slots_.size());
-    for (const auto& s : slots_) {
-      out.push_back(s.value.load(std::memory_order_relaxed));
-    }
-    return out;
-  }
-
-  void reset() noexcept {
-    for (auto& s : slots_) s.value.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::vector<padded<std::atomic<std::uint64_t>>> slots_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Last-write-wins instantaneous value (queue depth, bytes resident, ...).
-/// Single slot: gauges are set at low frequency (samplers, end-of-phase).
 class gauge {
  public:
   void set(std::int64_t v) noexcept {
@@ -77,10 +67,7 @@ class gauge {
   }
   /// Raises the gauge to `v` if larger (high-water-mark semantics).
   void record_max(std::int64_t v) noexcept {
-    std::int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    detail::store_if(v_, v, std::greater<>{});
   }
   std::int64_t get() const noexcept {
     return v_.load(std::memory_order_relaxed);
@@ -91,19 +78,19 @@ class gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Power-of-two-bucket histogram, sharded per thread: bucket i counts
-/// values in [2^i, 2^(i+1)), bucket 0 also absorbs 0 — the atomic sibling
-/// of util/stats.hpp's log2_histogram, merged across shards at scrape time.
+/// Power-of-two-bucket histogram: bucket i counts values in [2^i, 2^(i+1)),
+/// bucket 0 also absorbs 0 — the atomic sibling of util/stats.hpp's
+/// log2_histogram. It also keeps the exact minimum and maximum, which bound
+/// the interpolated percentiles (exact for a one-valued series).
 class histogram {
  public:
   static constexpr std::size_t num_buckets = 64;
 
-  explicit histogram(std::size_t shards) : shards_(shards ? shards : 1) {}
-
-  void record(std::size_t shard, std::uint64_t value) noexcept {
-    auto& sh = shards_[shard % shards_.size()].value;
-    sh.buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    sh.sum.fetch_add(value, std::memory_order_relaxed);
+  void record(std::uint64_t value) noexcept {
+    buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    detail::store_if(min_, value, std::less<>{});
+    detail::store_if(max_, value, std::greater<>{});
   }
 
   static std::size_t bucket_of(std::uint64_t value) noexcept {
@@ -112,62 +99,63 @@ class histogram {
     return b;
   }
 
-  /// Merged bucket counts across all shards (index i = [2^i, 2^(i+1))).
-  std::vector<std::uint64_t> merged() const {
+  /// Bucket counts (index i = [2^i, 2^(i+1))).
+  std::vector<std::uint64_t> buckets() const {
     std::vector<std::uint64_t> out(num_buckets, 0);
-    for (const auto& sh : shards_) {
-      for (std::size_t i = 0; i < num_buckets; ++i) {
-        out[i] += sh.value.buckets[i].load(std::memory_order_relaxed);
-      }
+    for (std::size_t i = 0; i < num_buckets; ++i) {
+      out[i] = buckets_[i].load(std::memory_order_relaxed);
     }
     return out;
   }
 
   std::uint64_t total() const noexcept {
     std::uint64_t n = 0;
-    for (const auto& sh : shards_) {
-      for (const auto& b : sh.value.buckets) {
-        n += b.load(std::memory_order_relaxed);
-      }
-    }
+    for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
     return n;
   }
 
   std::uint64_t sum() const noexcept {
-    std::uint64_t s = 0;
-    for (const auto& sh : shards_) {
-      s += sh.value.sum.load(std::memory_order_relaxed);
-    }
-    return s;
+    return sum_.load(std::memory_order_relaxed);
+  }
+
+  /// Exact smallest / largest recorded value; 0 while empty.
+  std::uint64_t min() const noexcept {
+    const std::uint64_t m = min_.load(std::memory_order_relaxed);
+    return m == no_min ? 0 : m;
+  }
+  std::uint64_t max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
   }
 
   void reset() noexcept {
-    for (auto& sh : shards_) {
-      for (auto& b : sh.value.buckets) b.store(0, std::memory_order_relaxed);
-      sh.value.sum.store(0, std::memory_order_relaxed);
-    }
+    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
+    min_.store(no_min, std::memory_order_relaxed);
+    max_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  struct shard_data {
-    std::atomic<std::uint64_t> buckets[num_buckets] = {};
-    std::atomic<std::uint64_t> sum{0};
-  };
-  std::vector<padded<shard_data>> shards_;
+  static constexpr std::uint64_t no_min =
+      std::numeric_limits<std::uint64_t>::max();
+  std::atomic<std::uint64_t> buckets_[num_buckets] = {};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{no_min};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 enum class metric_kind { counter, gauge, histogram };
 
-/// Immutable aggregated view of every registered metric.
+/// Immutable view of every registered metric.
 struct metrics_snapshot {
   struct entry {
     std::string name;
     metric_kind kind = metric_kind::counter;
-    std::uint64_t total = 0;                  // counter sum / histogram count
-    std::int64_t value = 0;                   // gauge reading
-    std::uint64_t sum = 0;                    // histogram value sum
-    std::vector<std::uint64_t> buckets;       // histogram only (log2 buckets)
-    std::vector<std::uint64_t> per_shard;     // counter only
+    std::uint64_t total = 0;             // counter total / histogram count
+    std::int64_t value = 0;              // gauge reading
+    std::uint64_t sum = 0;               // histogram value sum
+    std::uint64_t min = 0;               // histogram exact min
+    std::uint64_t max = 0;               // histogram exact max
+    std::vector<std::uint64_t> buckets;  // histogram only (log2 buckets)
   };
   std::vector<entry> entries;
 
@@ -191,10 +179,7 @@ struct metrics_snapshot {
 
 class metrics_registry {
  public:
-  /// `shards` bounds the number of contention-free writer slots per metric;
-  /// size it to the worker thread count (shard indices wrap past it).
-  explicit metrics_registry(std::size_t shards = 16);
-
+  metrics_registry() = default;
   metrics_registry(const metrics_registry&) = delete;
   metrics_registry& operator=(const metrics_registry&) = delete;
 
@@ -205,15 +190,16 @@ class metrics_registry {
   gauge& get_gauge(const std::string& name);
   histogram& get_histogram(const std::string& name);
 
-  std::size_t shards() const noexcept { return shards_; }
-
   metrics_snapshot scrape() const;
 
   /// Zeroes every metric (definitions stay registered).
   void reset();
 
  private:
-  const std::size_t shards_;
+  template <typename Metric>
+  Metric& find_or_create(std::deque<Metric>& store, metric_kind kind,
+                         const std::string& name);
+
   mutable std::mutex mu_;
   // deques give stable element addresses across registration.
   std::deque<counter> counters_;

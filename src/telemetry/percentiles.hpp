@@ -12,7 +12,8 @@
 //
 // The bucket upper bound can exceed the largest recorded value by up to 2x;
 // pass the exact recorded maximum as `clamp_max` where one is tracked
-// (io_recorder does) so p99 <= max also holds.
+// (io_recorder does) so p99 <= max also holds. Registry histograms track
+// their exact min and max, and to_json clamps into that range.
 #pragma once
 
 #include <cmath>

@@ -6,7 +6,7 @@
 
 namespace asyncgt::telemetry {
 
-std::vector<stats_dumper::delta_entry> stats_dumper::take_deltas() {
+std::vector<stats_dumper::delta_entry> stats_dumper::take_interval() {
   std::vector<delta_entry> out;
   if (reg_ == nullptr) return out;
   // Scrape under mu_: the sampler thread and a foreground caller may share
@@ -39,7 +39,7 @@ std::vector<stats_dumper::delta_entry> stats_dumper::take_deltas() {
 }
 
 std::string stats_dumper::render() {
-  std::vector<delta_entry> deltas = take_deltas();
+  std::vector<delta_entry> deltas = take_interval();
   // Only what moved this interval: counters/histograms with a nonzero
   // delta, gauges whose reading changed — so idle ticks print nothing.
   deltas.erase(std::remove_if(deltas.begin(), deltas.end(),

@@ -16,8 +16,8 @@
 // underflow, no matter when reset_counters() lands. Covered by
 // tests/telemetry/stats_dump_test.cpp.
 //
-// Threading: take_deltas/render/dump serialize on an internal mutex, so the
-// sampler thread and a foreground caller may share one dumper.
+// Threading: take_interval/render/dump serialize on an internal mutex, so
+// the sampler thread and a foreground caller may share one dumper.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +47,9 @@ class stats_dumper {
   /// Scrapes the registry and returns this interval's deltas, advancing the
   /// remembered baseline. Counters that went backwards (a reset landed
   /// mid-interval) report their post-reset total, never an underflow.
-  std::vector<delta_entry> take_deltas();
+  std::vector<delta_entry> take_interval();
 
-  /// take_deltas() formatted as an aligned text table; empty string when
+  /// take_interval() formatted as an aligned text table; empty string when
   /// nothing changed this interval (so idle ticks stay silent).
   std::string render();
 

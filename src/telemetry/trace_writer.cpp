@@ -143,7 +143,7 @@ phase_timer::~phase_timer() {
                         end_tp - start_tp_)
                         .count();
     registry_->get_counter("phase." + name_ + ".us")
-        .add(0, static_cast<std::uint64_t>(us));
+        .add(static_cast<std::uint64_t>(us));
   }
 }
 

@@ -394,5 +394,56 @@ TEST(IncrementalDiff, JobStatsCarryDeltaEpoch) {
   EXPECT_EQ(j.stats().label, "incremental_bfs");
 }
 
+// Self-sustaining ring traversal: holds an admission slot until cancelled.
+struct ring_visitor {
+  std::uint32_t vtx{};
+  std::uint32_t vertex() const noexcept { return vtx; }
+  std::uint32_t priority() const noexcept { return 0; }
+  template <typename State, typename Queue>
+  void visit(State&, Queue& q, std::size_t) const {
+    q.push(ring_visitor{(vtx + 1) % 64});
+  }
+};
+
+// A submit that admission refuses never ran, so it records no repair
+// metric: incremental.* and overlay.* land with the job's other metrics at
+// delivery. The refusal itself is counted, as service.rejected.
+TEST(IncrementalDiff, RefusedSubmitRecordsNothingButTheRejection) {
+  auto g = rmat_graph<vertex32>(rmat_a(6, 3));
+  g.ensure_reverse();
+  delta_overlay<csr_graph<vertex32>> ov(g);
+  engine eng({.pool_threads = 4,
+              .max_pending_jobs = 1,
+              .admission = service::admission_policy::reject});
+  auto prior = eng.submit_bfs(ov.snapshot(), vertex32{0}, cfg()).get();
+  delta_batch<vertex32> d;
+  d.insert(1, 2).erase(2, 3);
+  ov.apply(d);
+  auto hog = eng.submit_traversal<ring_visitor>(
+      cfg(), 0, [](auto& q, int&) { q.push(ring_visitor{0}); },
+      [](int&, queue_run_stats) { return 0; });
+
+  telemetry::metrics_registry reg;
+  EXPECT_THROW((void)eng.submit_incremental_bfs(ov.snapshot(), d, prior,
+                                                nullptr,
+                                                cfg().with_metrics(&reg)),
+               service::admission_rejected);
+  const telemetry::metrics_snapshot snap = reg.scrape();
+  hog.cancel();
+  EXPECT_THROW(hog.get(), traversal_aborted);
+  eng.wait_idle();
+  EXPECT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.value_of("service.rejected"), 1u);
+
+  // Admitted, the same repair records its reseeds and the overlay gauges.
+  incremental_extra ex;
+  eng.submit_incremental_bfs(ov.snapshot(), d, std::move(prior), &ex,
+                             cfg().with_metrics(&reg))
+      .get();
+  EXPECT_EQ(reg.get_counter("incremental.reseeded_vertices").total(),
+            ex.reseeded_vertices);
+  EXPECT_EQ(reg.get_gauge("overlay.epoch").get(), 1);
+}
+
 }  // namespace
 }  // namespace asyncgt

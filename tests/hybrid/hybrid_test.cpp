@@ -266,7 +266,7 @@ TEST(HybridOptions, FromFlagsDefaultsOff) {
 }
 
 TEST(HybridMetrics, RecordsSwitchesInspectionsAndFrontierPeak) {
-  telemetry::metrics_registry reg(8);
+  telemetry::metrics_registry reg;
   const csr32 g = reversed(rmat_graph_undirected<vertex32>(rmat_a(9, 3)));
   traversal_options topt = hybrid_opts(1.0, 64.0).with_metrics(&reg);
   hybrid_extra extra;

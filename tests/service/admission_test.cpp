@@ -250,7 +250,7 @@ TEST(Admission, CommittedEstimatesGateConcurrentAdmission) {
 // ---- metrics mirror -----------------------------------------------------
 
 TEST(Admission, RejectionsLandOnTheServiceMetricFamily) {
-  telemetry::metrics_registry reg(8);
+  telemetry::metrics_registry reg;
   engine eng({.pool_threads = 4,
               .defaults = threads(4).with_metrics(&reg),
               .max_pending_jobs = 1,

@@ -36,7 +36,7 @@ traversal_options threads(std::size_t n) {
 // ---- acceptance: zero spawns after warm-up ------------------------------
 
 TEST(Engine, WarmPoolSpawnsThreadsExactlyOnceAcrossEightJobs) {
-  telemetry::metrics_registry reg(8);
+  telemetry::metrics_registry reg;
   engine::config c;
   c.pool_threads = 8;
   c.defaults = threads(8).with_metrics(&reg);
@@ -76,7 +76,7 @@ TEST(Engine, PoolGrowsToWidestJobThenStaysWarm) {
 }
 
 TEST(Engine, SubmitOptionsWinAndDefaultSinksFillGaps) {
-  telemetry::metrics_registry reg(8);
+  telemetry::metrics_registry reg;
   engine::config c;
   c.defaults = threads(2).with_metrics(&reg);
   engine eng(std::move(c));

@@ -40,7 +40,7 @@ traversal_options threads(std::size_t n) {
 // ---- conservation -------------------------------------------------------
 
 TEST(JobStats, ConcurrentJobsConserveAgainstTheSharedRegistry) {
-  telemetry::metrics_registry reg(8);
+  telemetry::metrics_registry reg;
   engine eng({.pool_threads = 8, .defaults = threads(2).with_metrics(&reg)});
   const csr32 g = add_weights(rmat_graph_undirected<vertex32>(rmat_a(10)),
                               weight_scheme::uniform, 3);

@@ -11,7 +11,10 @@
 //   * counters() conserves: submitted == rejected + active + outcomes;
 //   * a checkpointed BFS killed by its deadline, or cancelled before its
 //     start visitor ran, leaves a checkpoint that resume_bfs finishes to
-//     serial_bfs's labels.
+//     serial_bfs's labels;
+//   * on every submit path — plain, multi-source, hybrid, checkpointed,
+//     resumed, incremental — each job's job_stats equal the queue.* deltas
+//     it left in the engine's registry, and its work counters are recorded.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -289,6 +292,76 @@ TEST_F(SemGraphTest, CancelBeforeStartResumesToSerialLabels) {
   EXPECT_EQ(cp.label[0], 0u);
   EXPECT_EQ(resume_bfs(*im_, cp, threads(4)).level,
             serial_bfs(*im_, vertex32{0}).level);
+  expect_conserved(eng);
+}
+
+TEST_F(SemGraphTest, EveryRunPathConservesAgainstTheRegistry) {
+  const auto g = open_graph(false);
+  telemetry::metrics_registry reg;
+  engine eng({.pool_threads = 4, .defaults = threads(4).with_metrics(&reg)});
+  // The incremental path repairs a full BFS after a one-edge insert.
+  delta_overlay<graph_t> ov(*g);
+  const bfs_result<vertex32> prior =
+      eng.submit_bfs(ov.snapshot(), vertex32{0}).get();
+  delta_batch<vertex32> d;
+  d.insert(1, 2);
+  ov.apply(d);
+  const auto view = ov.snapshot();
+
+  struct path {
+    std::string label;
+    std::string work;  // prefix of the job's <algo>.* work counters
+    std::function<any_job()> submit;
+  };
+  std::vector<path> paths = {
+      {"bfs", "bfs", [&] { return erase(eng.submit_bfs(*g, vertex32{0})); }},
+      {"sssp", "sssp",
+       [&] { return erase(eng.submit_sssp(*g, vertex32{0})); }},
+      {"cc", "cc", [&] { return erase(eng.submit_cc(*g)); }},
+      {"msbfs", "msbfs",
+       [&] {
+         return erase(eng.submit_multi_source_bfs(
+             *g, std::vector<vertex32>{0, 5, 9}));
+       }},
+      {"incremental_bfs", "incremental_bfs",
+       [&] {
+         return erase(eng.submit_incremental_bfs(view, d, prior));
+       }},
+  };
+  // The phased paths of the RunPaths suite; checkpointed and resumed jobs
+  // record the work counters of the algorithm they run.
+  for (const run_path& p : run_paths()) {
+    const std::string label = p.label;
+    const std::string work = label.starts_with("hybrid")
+                                 ? label
+                                 : label.substr(label.find('_') + 1);
+    paths.push_back({label, work, [&eng, &g, p, this] {
+                       return p.submit(eng, *g, ckpt_path(), threads(4));
+                     }});
+  }
+
+  for (const path& p : paths) {
+    SCOPED_TRACE(p.label);
+    const telemetry::metrics_snapshot before = reg.scrape();
+    any_job j = p.submit();
+    j.get();
+    const telemetry::metrics_snapshot after = reg.scrape();
+    const auto delta = [&](const std::string& name) {
+      return after.value_of(name) - before.value_of(name);
+    };
+    const service::job_stats st = j.stats();
+    EXPECT_EQ(st.label, p.label);
+    EXPECT_EQ(st.pushes, delta("queue.pushes"));
+    EXPECT_EQ(st.flushes, delta("queue.flushes"));
+    EXPECT_EQ(st.wakeups, delta("queue.wakeups"));
+    // Hybrid job visits also count the bottom-up sweeps' work, which is no
+    // queue visit.
+    if (!p.label.starts_with("hybrid")) {
+      EXPECT_EQ(st.visits, delta("queue.visits"));
+    }
+    EXPECT_GT(st.visits, 0u);
+    EXPECT_EQ(delta(p.work + ".visits"), st.visits);
+  }
   expect_conserved(eng);
 }
 

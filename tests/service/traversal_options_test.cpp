@@ -35,13 +35,13 @@ TEST(TraversalOptions, ImplicitConversionFromQueueConfig) {
 }
 
 TEST(TraversalOptions, BuildersChain) {
-  telemetry::metrics_registry reg(4);
+  telemetry::metrics_registry reg;
   const traversal_options o =
       traversal_options{}.with_threads(9).with_flush_batch(2).with_metrics(
           &reg);
   EXPECT_EQ(o.queue.num_threads, 9u);
   EXPECT_EQ(o.queue.flush_batch, 2u);
-  EXPECT_EQ(o.queue.metrics, &reg);
+  EXPECT_EQ(o.metrics, &reg);
   // Valid once the engine pins its pool, as it does for every job.
   service::worker_pool pool(1);
   visitor_queue_config pinned = o.queue;

@@ -33,10 +33,8 @@ std::uint64_t sum_per_queue(const queue_run_stats& s) {
 
 TEST(TelemetryIntegration, QueueInvariantsHoldAcrossAlgorithms) {
   const csr32 g = test_graph();
-  telemetry::metrics_registry reg(8);
-  visitor_queue_config cfg;
-  cfg.num_threads = 8;
-  cfg.metrics = &reg;
+  telemetry::metrics_registry reg;
+  const auto cfg = traversal_options{}.with_threads(8).with_metrics(&reg);
 
   const auto bfs = async_bfs(g, 0, cfg);
   EXPECT_EQ(bfs.stats.visits, bfs.stats.pushes);
@@ -71,10 +69,8 @@ TEST(TelemetryIntegration, QueueInvariantsHoldAcrossAlgorithms) {
 
 TEST(TelemetryIntegration, AlgorithmWorkCountersAreConsistent) {
   const csr32 g = test_graph();
-  telemetry::metrics_registry reg(8);
-  visitor_queue_config cfg;
-  cfg.num_threads = 8;
-  cfg.metrics = &reg;
+  telemetry::metrics_registry reg;
+  const auto cfg = traversal_options{}.with_threads(8).with_metrics(&reg);
 
   const auto r = async_bfs(g, 0, cfg);
   const auto snap = reg.scrape();
@@ -156,10 +152,8 @@ TEST(TelemetryIntegration, TraceCapturesWorkerSpans) {
 
 TEST(TelemetryIntegration, ReportRoundTripsThroughSchemaCheck) {
   const csr32 g = test_graph();
-  telemetry::metrics_registry reg(4);
-  visitor_queue_config cfg;
-  cfg.num_threads = 4;
-  cfg.metrics = &reg;
+  telemetry::metrics_registry reg;
+  const auto cfg = traversal_options{}.with_threads(4).with_metrics(&reg);
   const auto r = async_bfs(g, 0, cfg);
 
   telemetry::report rep("telemetry_integration");

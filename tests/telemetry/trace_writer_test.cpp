@@ -102,7 +102,7 @@ TEST(TraceWriter, ScopedSpanRecordsAndNullIsNoop) {
 
 TEST(TraceWriter, PhaseTimerRecordsSpanAndCounter) {
   trace_writer tw;
-  metrics_registry reg(2);
+  metrics_registry reg;
   { phase_timer ph(&tw, "load", &reg); }
   { phase_timer ph(nullptr, "no-writer", &reg); }   // metrics only
   { phase_timer ph(nullptr, "no-sinks", nullptr); }  // full no-op

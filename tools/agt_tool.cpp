@@ -371,11 +371,11 @@ int run_traversal(const options& opt, const char* name, F&& run) {
 
   // One parser for threads / flush-batch / retries / backoff / deadline,
   // shared with the engine API and the bench harnesses
-  // (service/traversal_options.hpp). The report attaches to the embedded
-  // queue config and the whole options bundle flows to the run lambda, so
+  // (service/traversal_options.hpp). The report attaches its sinks to the
+  // options and the whole options bundle flows to the run lambda, so
   // --deadline-ms / --stall-grace-ms reach the default engine's watchdog.
   traversal_options topt = traversal_options::from_flags(opt, sem_mode);
-  rep.attach(topt.queue);
+  rep.attach(topt);
 
   int rc;
   if (sem_mode) {
@@ -484,25 +484,25 @@ int run_traversal(const options& opt, const char* name, F&& run) {
                   fmt_count(io.gave_up).c_str());
     }
     if (rep.enabled()) {
-      rep.metrics().get_counter("io.retries").add(0, io.retries);
-      rep.metrics().get_counter("io.gave_up").add(0, io.gave_up);
-      rep.metrics().get_counter("io.batches").add(0, io.batches);
+      rep.metrics().get_counter("io.retries").add(io.retries);
+      rep.metrics().get_counter("io.gave_up").add(io.gave_up);
+      rep.metrics().get_counter("io.batches").add(io.batches);
       rep.metrics()
           .get_counter("io.coalesced_ranges")
-          .add(0, io.coalesced_ranges);
-      rep.metrics().get_counter("io.inflight_peak").add(0, io.inflight_peak);
+          .add(io.coalesced_ranges);
+      rep.metrics().get_counter("io.inflight_peak").add(io.inflight_peak);
       if (bundle.cache != nullptr) {
         rep.metrics()
             .get_counter("cache.policy_rejects")
-            .add(0, bundle.cache->counters().policy_rejects);
+            .add(bundle.cache->counters().policy_rejects);
       }
       if (bundle.prefetch != nullptr) {
         rep.metrics()
             .get_counter("sem.prefetch.issued")
-            .add(0, bundle.prefetch->stats().issued);
+            .add(bundle.prefetch->stats().issued);
         rep.metrics()
             .get_counter("sem.prefetch.wasted")
-            .add(0, bundle.cache->counters().prefetch_wasted);
+            .add(bundle.cache->counters().prefetch_wasted);
       }
     }
     if (rep.json_enabled()) {
@@ -1063,7 +1063,7 @@ int cmd_update(const options& opt) {
   const bool sem_mode = opt.get_bool("sem", false);
   bench::bench_report rep(opt, "agt_tool_update");
   traversal_options topt = traversal_options::from_flags(opt, sem_mode);
-  rep.attach(topt.queue);
+  rep.attach(topt);
 
   int rc;
   if (sem_mode) {

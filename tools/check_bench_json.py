@@ -9,9 +9,11 @@ only.
 Beyond structure, this enforces the schema-v2 percentile invariant: any
 object carrying a full {p50,p95,p99} or {p50_us,p95_us,p99_us} triple —
 io_recorder latency summaries, registry histograms, per-job lifecycle
-latencies — must satisfy p50 <= p95 <= p99, and p99 <= the sibling recorded
-maximum (max / max_us / max_latency_us) when one is present. The C++ side
-derives these by interpolation clamped to the exact max, so a violation
+latencies — must satisfy p50 <= p95 <= p99, p50 >= the sibling recorded
+minimum (min / min_us) and p99 <= the sibling recorded maximum (max /
+max_us / max_latency_us) when one is present. Registry histograms carry
+both, so min <= p50 <= p95 <= p99 <= max holds on each. The C++ side
+derives these by interpolation clamped to the exact range, so a violation
 means a broken emitter, not noise.
 
 It also validates hybrid-traversal phase breakdowns: any "phases" array
@@ -73,6 +75,10 @@ def check_percentiles(value, where):
         if not (p50 <= p95 <= p99):
             return "%s: percentiles not monotone (p50%s=%r, p95%s=%r, p99%s=%r)" % (
                 where, suffix, p50, suffix, p95, suffix, p99)
+        minimum = _num(value, "min" + suffix)
+        if minimum is not None and p50 < minimum:
+            return "%s: p50%s=%r is below recorded min=%r" % (
+                where, suffix, p50, minimum)
         maximum = _num(value, "max" + suffix)
         if maximum is None:
             maximum = _num(value, "max_latency_us")
