@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
 
   std::vector<double> sem_times;
   for (const auto t : threads) {
-    visitor_queue_config cfg;
-    cfg.num_threads = static_cast<std::size_t>(t);
+    traversal_options cfg;
+    cfg.queue.num_threads = static_cast<std::size_t>(t);
 
     bfs_result<vertex32> im_r;
     const double t_im =
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
 
     sem::ssd_model dev(sem::intel_params(time_scale));
     sem::sem_csr32 sg(tmp.string(), &dev);
-    visitor_queue_config sem_cfg = cfg;
-    sem_cfg.secondary_vertex_sort = true;
+    traversal_options sem_cfg = cfg;
+    sem_cfg.queue.secondary_vertex_sort = true;
     bfs_result<vertex32> sem_r;
     const double t_sem =
         time_seconds([&] { sem_r = async_bfs(sg, vertex32{0}, sem_cfg); });

@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   std::uint64_t chain_slack = 0, rmat_slack = 0;
   bool ok = true;
   for (const auto& w : workloads) {
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
     bfs_result<vertex32> r;
     const double secs =
         time_seconds([&] { r = async_bfs(w.graph, w.start, cfg); });

@@ -35,9 +35,9 @@ struct order_run {
 order_run run_order(const csr32& g, const sssp_result<vertex32>& ref,
                     queue_order order, std::size_t threads,
                     const char* name) {
-  visitor_queue_config cfg;
-  cfg.num_threads = threads;
-  cfg.order = order;
+  traversal_options cfg;
+  cfg.queue.num_threads = threads;
+  cfg.queue.order = order;
   order_run out;
   out.name = name;
   sssp_result<vertex32> r;

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
 
   double cv[2] = {0, 0};
   for (const bool identity : {false, true}) {
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
-    cfg.identity_hash = identity;
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
+    cfg.queue.identity_hash = identity;
     cc_result<vertex32> r;
     const double secs = time_seconds([&] { r = async_cc(g, cfg); });
     cv[identity ? 1 : 0] = r.stats.load_imbalance_cv();

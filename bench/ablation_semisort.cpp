@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
     sem::ssd_model dev(sem::intel_params(time_scale));
     sem::block_cache cache(cache_blocks);
     sem::sem_csr32 sg(tmp.string(), &dev, &cache);
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
-    cfg.secondary_vertex_sort = semisort;
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
+    cfg.queue.secondary_vertex_sort = semisort;
     bfs_result<vertex32> r;
     const double secs =
         time_seconds([&] { r = async_bfs(sg, vertex32{0}, cfg); });

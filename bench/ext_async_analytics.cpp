@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
                std::to_string(pi.iterations) + " barrier rounds"});
 
     for (const auto t : threads) {
-      visitor_queue_config cfg;
-      cfg.num_threads = static_cast<std::size_t>(t);
+      traversal_options cfg;
+      cfg.queue.num_threads = static_cast<std::size_t>(t);
       pagerank_options popt;
       popt.tolerance = tolerance;
       pagerank_result<vertex32> pr;
@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
                fmt_seconds(t_peel), fmt_count(g.num_edges()) + " edge ops",
                "exact"});
     for (const auto t : threads) {
-      visitor_queue_config cfg;
-      cfg.num_threads = static_cast<std::size_t>(t);
+      traversal_options cfg;
+      cfg.queue.num_threads = static_cast<std::size_t>(t);
       kcore_result<vertex32> kc;
       const double secs = time_seconds([&] { kc = async_kcore(g, cfg); });
       const bool agree = (kc.core == peel);

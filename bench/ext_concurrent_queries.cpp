@@ -121,11 +121,6 @@ int main(int argc, char** argv) {
   traversal_options topt = traversal_options::from_flags(opt, true);
   if (!opt.has("threads")) topt.queue.num_threads = 32;
   const double time_scale = opt.get_double("time-scale", 4.0);
-  // --cache-fraction flows through the shared parser; this bench's default
-  // is a cache big enough to hold the file (the shared-cache effect is the
-  // point), and an explicit 0 degrades to the 1-block floor as before.
-  const double cache_fraction =
-      topt.cache_fraction >= 0.0 ? topt.cache_fraction : 1.0;
 
   banner("Concurrent mixed SEM queries over one shared graph + cache",
          "service API (docs/service_api.md), job-scoped telemetry "
@@ -154,14 +149,13 @@ int main(int argc, char** argv) {
   // one block_heat for every job; per-job slices come from metric_scope.
   // The builder also carries the hot-block knobs, so --ordering=hot /
   // --cache-policy=pressure / --prefetch-hot apply to the shared graph.
+  // This bench's default is a cache big enough to hold the file (the
+  // shared-cache effect is the point), and an explicit --cache-fraction=0
+  // degrades to the 1-block floor.
   telemetry::io_recorder rec;
-  sem::sem_config scfg = sem::sem_config::from_options(topt, path);
+  sem::sem_config scfg = sem::sem_config::from_flags(opt, path, 1.0);
   scfg.with_device(&dev).with_heat().with_io_recorder(&rec);
-  if (cache_fraction > 0.0) {
-    scfg.with_cache_fraction(cache_fraction);
-  } else {
-    scfg.with_cache_blocks(1);
-  }
+  if (scfg.cache_fraction() <= 0.0) scfg.with_cache_blocks(1);
   auto bundle = scfg.open<vertex32>();
   bundle.wire_queue(topt.queue);
   sem::sem_csr32& sg = *bundle.graph;

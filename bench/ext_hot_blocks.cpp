@@ -80,10 +80,6 @@ int main(int argc, char** argv) {
   traversal_options topt = traversal_options::from_flags(opt, true);
   if (!opt.has("threads")) topt.queue.num_threads = 64;
   const double time_scale = opt.get_double("time-scale", 0.02);
-  // Acceptance runs the cache well under the file size — the signal only
-  // matters when residency is scarce.
-  const double cache_fraction =
-      topt.cache_fraction >= 0.0 ? topt.cache_fraction : 0.10;
   const double min_gain = opt.get_double("min-gain", 1.5);
 
   banner("Hot-Block-Aware SEM Scheduling",
@@ -100,6 +96,9 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(tmp);
   const std::string path = (tmp / "graph.agt").string();
   write_graph(path, g);
+  // Acceptance runs the cache well under the file size (default 0.10) —
+  // the signal only matters when residency is scarce.
+  const sem::sem_config flags = sem::sem_config::from_flags(opt, path, 0.10);
 
   const bfs_result<vertex32> ref_bfs = serial_bfs(g, start);
   const cc_result<vertex32> ref_cc = serial_cc(g);
@@ -112,17 +111,15 @@ int main(int argc, char** argv) {
                             const std::string& policy, bool prefetch,
                             const std::string& backend) {
     sem::ssd_model dev(params);
-    sem::sem_config scfg(path);
+    sem::sem_config scfg = flags;
     scfg.with_device(&dev)
-        .with_cache_fraction(cache_fraction)
         .with_cache_policy(policy)
-        .with_io_backend(backend, topt.io_batch)
-        .with_retries(topt.io_retries, topt.io_backoff_us)
-        .with_hot_ordering(hot, topt.hot_threshold)
+        .with_io_backend(backend, flags.io_batch())
+        .with_hot_ordering(hot, flags.hot_threshold())
         .with_prefetch_hot(prefetch);
     auto bundle = scfg.open<vertex32>();
-    visitor_queue_config cfg = topt.queue;
-    bundle.wire_queue(cfg);
+    traversal_options cfg = topt;
+    bundle.wire_queue(cfg.queue);
     mode_result r;
     if (algo == "bfs") {
       bfs_result<vertex32> out;
@@ -224,7 +221,7 @@ int main(int argc, char** argv) {
         gains[a] >= min_gain,
         algo + ": hot scheduling reads >=" + fmt_ratio(min_gain) +
             " fewer bytes per completed visit (got " + fmt_ratio(gains[a]) +
-            "x at cache=" + fmt_ratio(cache_fraction) + ")");
+            "x at cache=" + fmt_ratio(flags.cache_fraction()) + ")");
   }
   table.rule();
 
@@ -247,9 +244,9 @@ int main(int argc, char** argv) {
     s.set("device", params.name);
     s.set("time_scale", time_scale);
     s.set("scale", static_cast<std::uint64_t>(scale));
-    s.set("cache_fraction", cache_fraction);
+    s.set("cache_fraction", flags.cache_fraction());
     s.set("hot_threshold",
-          static_cast<std::uint64_t>(topt.hot_threshold));
+          static_cast<std::uint64_t>(flags.hot_threshold()));
     s.set("min_gain", min_gain);
     s.set("bfs_gain", gains[0]);
     s.set("cc_gain", gains[1]);

@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
                       .with_cache_blocks(cache_blocks)
                       .with_io_backend(sem::to_string(kind), batch)
                       .open<vertex32>();
-    visitor_queue_config cfg = topt.queue;
-    cfg.num_threads = threads;
+    traversal_options cfg = topt;
+    cfg.queue.num_threads = threads;
     run_result r;
     bfs_result<vertex32> out;
     r.seconds =

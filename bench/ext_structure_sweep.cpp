@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
         static_cast<double>(bstats.max_inbox) /
         std::max<double>(1.0, static_cast<double>(bstats.total_messages));
 
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
     bfs_result<vertex32> async_r;
     const double t_async =
         time_seconds([&] { async_r = async_bfs(g, vertex32{0}, cfg); });
@@ -152,15 +152,15 @@ int main(int argc, char** argv) {
       return g;
     }();
 
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
     bfs_result<vertex32> plain;
     const double t_plain =
         time_seconds([&] { plain = async_bfs(hg, vertex32{0}, cfg); });
     // Pure-async inspections: every push traverses exactly one edge.
     const std::uint64_t plain_inspected = plain.stats.pushes;
 
-    traversal_options topt(cfg);
+    traversal_options topt = cfg;
     topt.hybrid = true;
     topt.hybrid_alpha = opt.get_double("hybrid-alpha", topt.hybrid_alpha);
     topt.hybrid_beta = opt.get_double("hybrid-beta", topt.hybrid_beta);

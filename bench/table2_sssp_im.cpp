@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
         std::vector<double> t_async;
         std::vector<sssp_result<vertex32>> async_runs;
         for (const auto t : threads) {
-          visitor_queue_config cfg;
-          cfg.num_threads = static_cast<std::size_t>(t);
+          traversal_options cfg;
+          cfg.queue.num_threads = static_cast<std::size_t>(t);
           sssp_result<vertex32> r;
           t_async.push_back(
               time_seconds([&] { r = async_sssp(g, start, cfg); }));
@@ -102,12 +102,12 @@ int main(int argc, char** argv) {
         // round-robin correction. (LIFO is measured only in
         // ablation_priority at small scale — stack-order correction on
         // weighted graphs can do exponentially more work.)
-        visitor_queue_config fifo_cfg;
-        fifo_cfg.num_threads = 1;
-        fifo_cfg.order = queue_order::fifo;
+        traversal_options fifo_cfg;
+        fifo_cfg.queue.num_threads = 1;
+        fifo_cfg.queue.order = queue_order::fifo;
         const auto fifo_r = async_sssp(g, start, fifo_cfg);
-        visitor_queue_config prio_cfg;
-        prio_cfg.num_threads = 1;
+        traversal_options prio_cfg;
+        prio_cfg.queue.num_threads = 1;
         const auto prio_r = async_sssp(g, start, prio_cfg);
 
         const double updates_per_vertex =

@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
     std::vector<double> t_async;
     std::vector<cc_result<vertex32>> async_runs;
     for (const auto t : threads) {
-      visitor_queue_config cfg;
-      cfg.num_threads = static_cast<std::size_t>(t);
+      traversal_options cfg;
+      cfg.queue.num_threads = static_cast<std::size_t>(t);
       cc_result<vertex32> r;
       t_async.push_back(time_seconds([&] { r = async_cc(g, cfg); }));
       async_runs.push_back(std::move(r));

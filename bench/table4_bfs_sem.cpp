@@ -77,10 +77,6 @@ int main(int argc, char** argv) {
   if (!opt.has("threads")) topt.queue.num_threads = 128;
   const std::size_t sem_threads = topt.queue.num_threads;
   const double time_scale = opt.get_double("time-scale", 16.0);
-  // --cache-fraction flows through the shared parser now; this table keeps
-  // its calibrated 0.65 default when the flag is absent.
-  const double cache_fraction =
-      topt.cache_fraction >= 0.0 ? topt.cache_fraction : 0.65;
   const double bgl_edge_rate = opt.get_double("bgl-edge-rate", 7.4e6);
   const std::string inject_spec = opt.get_string("inject", "");
   std::unique_ptr<sem::fault_injector> injector;
@@ -136,16 +132,17 @@ int main(int argc, char** argv) {
         // adjacency read, docs/io_backends.md — labels must stay identical
         // to the sync default, so the per-run correctness check doubles as
         // the backend acceptance test), cache + policy, retries, and the
-        // hot-block knobs all arrive through the shared parser.
-        sem::sem_config scfg = sem::sem_config::from_options(topt, path);
-        scfg.with_device(&dev).with_cache_fraction(cache_fraction);
+        // hot-block knobs all arrive through the SEM flag parser, which
+        // keeps this table's calibrated 0.65 cache fraction by default.
+        sem::sem_config scfg = sem::sem_config::from_flags(opt, path, 0.65);
+        scfg.with_device(&dev);
         if (injector != nullptr) {
           scfg.with_fault_injector(injector.get()).with_io_recorder(&io_rec);
         }
         auto bundle = scfg.open<vertex32>();
         sem::sem_csr32& sg = *bundle.graph;
 
-        traversal_options cfg = topt.queue;
+        traversal_options cfg = topt;
         bundle.wire_queue(cfg.queue);
         rep.attach(cfg);
         bfs_result<vertex32> sem_r;

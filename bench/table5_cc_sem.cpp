@@ -44,10 +44,6 @@ int main(int argc, char** argv) {
   traversal_options topt = traversal_options::from_flags(opt, true);
   if (!opt.has("threads")) topt.queue.num_threads = 128;
   const double time_scale = opt.get_double("time-scale", 16.0);
-  // --cache-fraction flows through the shared parser; calibrated 0.65
-  // default when absent (same convention as table4_bfs_sem).
-  const double cache_fraction =
-      topt.cache_fraction >= 0.0 ? topt.cache_fraction : 0.65;
   const double bgl_edge_rate = opt.get_double("bgl-edge-rate", 7.4e6);
   const auto web_hosts =
       static_cast<std::uint64_t>(opt.get_int("web-hosts", 600));
@@ -113,16 +109,17 @@ int main(int argc, char** argv) {
       sem::ssd_model dev(devices[d]);
       // One builder per device row (see table4_bfs_sem.cpp): --io-backend
       // routes every adjacency read, and the per-run label check doubles as
-      // the backend acceptance test.
-      sem::sem_config scfg = sem::sem_config::from_options(topt, path);
-      scfg.with_device(&dev).with_cache_fraction(cache_fraction);
+      // the backend acceptance test. Calibrated 0.65 cache fraction unless
+      // --cache-fraction says otherwise (same convention as table4).
+      sem::sem_config scfg = sem::sem_config::from_flags(opt, path, 0.65);
+      scfg.with_device(&dev);
       if (injector != nullptr) {
         scfg.with_fault_injector(injector.get()).with_io_recorder(&io_rec);
       }
       auto bundle = scfg.open<vertex32>();
       sem::sem_csr32& sg = *bundle.graph;
 
-      traversal_options cfg = topt.queue;
+      traversal_options cfg = topt;
       bundle.wire_queue(cfg.queue);
       rep.attach(cfg);
       cc_result<vertex32> sem_r;

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   const options opt(argc, argv);
   const auto scale = static_cast<unsigned>(opt.get_int("scale", 12));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = static_cast<std::size_t>(opt.get_int("threads", 32));
-  cfg.secondary_vertex_sort = true;
+  traversal_options cfg;
+  cfg.queue.num_threads = static_cast<std::size_t>(opt.get_int("threads", 32));
+  cfg.queue.secondary_vertex_sort = true;
 
   // On-disk weighted graph, traversed semi-externally.
   const csr32 g =

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_vertices()),
               static_cast<unsigned long long>(g.num_edges()));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
+  traversal_options cfg;
+  cfg.queue.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
 
   pagerank_options pr_opt;
   pr_opt.alpha = opt.get_double("alpha", 0.85);

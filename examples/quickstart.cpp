@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(directed.num_vertices()),
               static_cast<unsigned long long>(directed.num_edges()));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = threads;
+  traversal_options cfg;
+  cfg.queue.num_threads = threads;
 
   // 2. Asynchronous BFS from vertex 0.
   const auto bfs = async_bfs(directed, vertex32{0}, cfg);

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_vertices()),
               static_cast<unsigned long long>(g.num_edges() / 2));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
+  traversal_options cfg;
+  cfg.queue.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
   const vertex32 src = 0;  // top-left corner
   const auto dst = static_cast<vertex32>(width * height - 1);  // bottom-right
 

@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sg.device_bytes() >> 10),
                 params.name.c_str());
 
-    visitor_queue_config cfg;
-    cfg.num_threads = threads;
-    cfg.secondary_vertex_sort = true;  // SEM locality ordering (paper IV-C)
+    traversal_options cfg;
+    cfg.queue.num_threads = threads;
+    cfg.queue.secondary_vertex_sort = true;  // SEM locality (paper IV-C)
     const auto r = async_bfs(sg, vertex32{0}, cfg);
     const auto reads = dev.counters().reads;
     table.row({params.name, std::to_string(threads),

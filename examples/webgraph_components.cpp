@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_vertices()),
               static_cast<unsigned long long>(g.num_edges()));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
+  traversal_options cfg;
+  cfg.queue.num_threads = static_cast<std::size_t>(opt.get_int("threads", 16));
   const auto cc = async_cc(g, cfg);
   std::printf("connected components: %llu (%.3fs, %llu label corrections)\n",
               static_cast<unsigned long long>(cc.num_components()),

@@ -24,8 +24,8 @@
 //   async_sssp(graph, start, opts)  -> sssp_result  (distances + parents)
 //   async_cc(graph, opts)           -> cc_result    (min-id component labels)
 // where `graph` is an in-memory csr_graph<V> or a disk-backed
-// sem::sem_csr<V>, and opts is a traversal_options (a visitor_queue_config
-// converts implicitly, so pre-service call sites compile unchanged).
+// sem::sem_csr<V>, and opts is a traversal_options (queue knobs under
+// opts.queue).
 //
 // See README.md for a walkthrough and examples/ for runnable programs.
 #pragma once

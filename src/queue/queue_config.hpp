@@ -47,8 +47,6 @@ struct visitor_queue_config {
   /// Route with the raw id (v % threads) instead of the avalanching hash;
   /// used by the load-balance ablation.
   bool identity_hash = false;
-  /// Initial per-queue heap capacity reservation.
-  std::size_t reserve_per_queue = 0;
 
   /// Cross-thread delivery batch size B (mailbox layer). Pushes from inside
   /// visitors append lock-free to a per-thread outbox buffer per destination
@@ -61,12 +59,9 @@ struct visitor_queue_config {
 
   /// Optional telemetry sinks (all borrowed, all nullable — null means the
   /// corresponding instrumentation compiles to a predictable branch).
-  telemetry::trace_writer* trace = nullptr;  ///< per-visit spans
+  /// per-visit spans, 1 in traversal_engine::trace_sample_every per worker
+  telemetry::trace_writer* trace = nullptr;
   telemetry::sampler* sampler = nullptr;     ///< depth/pending probes
-  /// Record a trace span for 1 visit in every `trace_sample_every` per
-  /// worker (1 = every visit; tracing every visit on large graphs produces
-  /// multi-GB traces).
-  std::uint32_t trace_sample_every = 64;
 
   /// Per-job attribution scope (borrowed, nullable). When set, the engine
   /// installs it as the calling thread's ambient metric_scope for the
@@ -108,10 +103,6 @@ struct visitor_queue_config {
     }
     if (flush_batch == 0) {
       throw std::invalid_argument("visitor_queue: flush_batch must be >= 1");
-    }
-    if (trace_sample_every == 0) {
-      throw std::invalid_argument(
-          "visitor_queue: trace_sample_every must be >= 1");
     }
   }
 };

@@ -79,6 +79,11 @@ class traversal_engine {
  public:
   using vertex_id = decltype(std::declval<const Visitor&>().vertex());
 
+  /// With a trace attached, each worker records a span for its first visit
+  /// and then 1 visit in every trace_sample_every (tracing every visit on
+  /// large graphs produces multi-GB traces).
+  static constexpr std::uint32_t trace_sample_every = 64;
+
   explicit traversal_engine(const visitor_queue_config& cfg)
       : cfg_(cfg),
         route_(cfg),
@@ -393,7 +398,6 @@ class traversal_engine {
                                  "worker-" + std::to_string(tid));
       }
     }
-    const std::uint32_t sample_every = cfg_.trace_sample_every;
     std::uint32_t until_sample = 1;  // trace the first visit of each worker
     lane_handle handle{*this, me};
     Visitor v{};
@@ -409,7 +413,7 @@ class traversal_engine {
         me.cur_vertex = static_cast<std::uint64_t>(v.vertex());
         me.visiting = true;
         if (ts != nullptr && --until_sample == 0) {
-          until_sample = sample_every;
+          until_sample = trace_sample_every;
           const std::uint64_t start = ts->now_us();
           v.visit(state, handle, tid);
           ts->complete("visit", start, ts->now_us() - start, "vertex",

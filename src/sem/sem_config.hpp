@@ -1,5 +1,5 @@
 // sem_config — the one-declaration construction surface for semi-external
-// graphs.
+// graphs, and the one home of every SEM knob.
 //
 // Before this builder, every SEM call site wired sem_csr by hand through
 // five independent setters (backend, cache, heat, fault injector, retries),
@@ -18,10 +18,9 @@
 //   bundle.wire_queue(topt.queue);   // order=hot + advisor, when requested
 //   run(*bundle.graph, topt);
 //
-// from_options() bridges from traversal_options (duck-typed, so this header
-// never includes the service layer): the --ordering=hot / --cache-policy= /
-// --cache-fraction= / --prefetch-hot / --hot-threshold= flags parsed by
-// traversal_options::from_flags land here without further plumbing.
+// from_flags() is the one parser of the SEM command-line flags (--io-*,
+// --cache-*, --prefetch-hot, --hot-threshold); traversal_options::from_flags
+// parses the per-job flags of the same command line.
 //
 // The old sem_csr setters remain as the thin primitives this builder
 // composes from (see the deprecation note in sem_csr.hpp).
@@ -30,6 +29,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -45,6 +45,7 @@
 #include "sem/prefetcher.hpp"
 #include "sem/sem_csr.hpp"
 #include "sem/ssd_model.hpp"
+#include "util/options.hpp"
 
 namespace asyncgt::sem {
 
@@ -80,10 +81,6 @@ class sem_config {
 
   // ---- Fluent setters (each returns *this) ----
 
-  sem_config& with_path(std::string path) {
-    path_ = std::move(path);
-    return *this;
-  }
   /// Simulated device (borrowed, nullable = raw host speed).
   sem_config& with_device(ssd_model* device) {
     device_ = device;
@@ -155,35 +152,56 @@ class sem_config {
     return *this;
   }
 
-  // ---- Accessors (benches echo these into their reports) ----
+  // ---- Accessors (ext_hot_blocks varies its modes around the parsed
+  // flags and echoes these into its report) ----
 
-  const std::string& path() const noexcept { return path_; }
-  ssd_model* device() const noexcept { return device_; }
   double cache_fraction() const noexcept { return cache_fraction_; }
-  const std::string& cache_policy() const noexcept { return cache_policy_; }
-  const std::string& io_backend_name() const noexcept { return io_backend_; }
   std::uint32_t io_batch() const noexcept { return io_batch_; }
-  bool hot_ordering() const noexcept { return hot_; }
   std::uint32_t hot_threshold() const noexcept { return hot_threshold_; }
-  bool prefetch_hot() const noexcept { return prefetch_hot_; }
 
-  /// Bridge from traversal_options (or anything shaped like it — duck
-  /// typed so sem never includes the service layer). Picks up the retry /
-  /// backend knobs plus the hot-block flags: queue.order == hot selects the
-  /// advisor, cache_policy/cache_fraction/prefetch_hot/hot_threshold map
-  /// 1:1, and hybrid requests the reverse view. A negative cache_fraction
-  /// means "caller decides" and leaves the builder's current value alone.
-  template <typename Topt>
-  static sem_config from_options(const Topt& t, std::string path) {
+  /// The SEM flag parser shared by agt_tool and the bench harnesses:
+  ///   --io-backend=NAME  read path: sync | coalescing | uring (default
+  ///                      sync; docs/io_backends.md)
+  ///   --io-batch=N       coalescing/uring batch depth (default 8)
+  ///   --io-retries=N     transient-errno budget (default 4)
+  ///   --io-backoff-us=N  initial retry backoff (default 50)
+  ///   --cache-policy=P   block-cache policy: lru | pressure (default lru)
+  ///   --cache-fraction=F page-cache size as a fraction of the file's
+  ///                      blocks (default `default_cache_fraction`, which
+  ///                      each tool/bench picks)
+  ///   --prefetch-hot     readahead hot non-resident blocks (coalescing/
+  ///                      uring backends only; default off)
+  ///   --hot-threshold=N  pending visitors that make a block hot (default 4)
+  /// plus the two per-job flags the storage layer follows: --ordering=hot
+  /// builds the pressure tracker and advisor (docs/hot_blocks.md), and
+  /// --hybrid opens the reverse view. Throws std::invalid_argument on a bad
+  /// --cache-policy or a zero --hot-threshold.
+  static sem_config from_flags(const options& opt, std::string path,
+                               double default_cache_fraction = 0.0) {
     sem_config c(std::move(path));
-    c.with_io_backend(t.io_backend, t.io_batch)
-        .with_retries(t.io_retries, t.io_backoff_us)
-        .with_hot_ordering(t.queue.order == queue_order::hot,
-                           t.hot_threshold)
-        .with_cache_policy(t.cache_policy)
-        .with_prefetch_hot(t.prefetch_hot)
-        .with_reverse(t.hybrid);
-    if (t.cache_fraction >= 0.0) c.with_cache_fraction(t.cache_fraction);
+    c.io_backend_ = opt.get_string("io-backend", c.io_backend_);
+    c.io_batch_ = static_cast<std::uint32_t>(
+        opt.get_int("io-batch", static_cast<std::int64_t>(c.io_batch_)));
+    c.io_retries_ = static_cast<std::uint32_t>(
+        opt.get_int("io-retries", static_cast<std::int64_t>(c.io_retries_)));
+    c.io_backoff_us_ = static_cast<std::uint32_t>(opt.get_int(
+        "io-backoff-us", static_cast<std::int64_t>(c.io_backoff_us_)));
+    c.cache_policy_ = opt.get_string("cache-policy", c.cache_policy_);
+    if (c.cache_policy_ != "lru" && c.cache_policy_ != "pressure") {
+      throw std::invalid_argument("bad --cache-policy value: " +
+                                  c.cache_policy_ +
+                                  " (expected lru|pressure)");
+    }
+    c.cache_fraction_ = opt.get_double("cache-fraction",
+                                       default_cache_fraction);
+    c.prefetch_hot_ = opt.get_bool("prefetch-hot", false);
+    c.hot_threshold_ = static_cast<std::uint32_t>(opt.get_int(
+        "hot-threshold", static_cast<std::int64_t>(c.hot_threshold_)));
+    if (c.hot_threshold_ == 0) {
+      throw std::invalid_argument("--hot-threshold must be >= 1");
+    }
+    c.hot_ = opt.get_string("ordering", "priority") == "hot";
+    c.open_reverse_ = opt.get_bool("hybrid", false);
     return c;
   }
 

@@ -181,6 +181,9 @@ class sem_csr {
     file_.set_retry_policy(policy);
     if (reverse_) reverse_->set_retry_policy(policy);
   }
+  const io_retry_policy& retry_policy() const noexcept {
+    return file_.retry_policy();
+  }
 
   /// Attaches a block-heat recorder (borrowed, nullable): every adjacency
   /// read then records the touched device blocks and whether each touch

@@ -71,7 +71,6 @@
 #include "service/worker_pool.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/span.hpp"
-#include "util/stats.hpp"
 
 namespace asyncgt {
 
@@ -503,19 +502,6 @@ class engine {
     return {recent_.begin(), recent_.end()};
   }
 
-  /// Engine-lifetime job lifecycle latency distributions (microseconds),
-  /// one sample per completed job.
-  struct lifecycle_latencies {
-    log2_histogram queue_wait_us;
-    log2_histogram run_us;
-    log2_histogram total_us;
-  };
-
-  lifecycle_latencies lifecycle() const {
-    std::lock_guard lk(jobs_mu_);
-    return lifecycle_;
-  }
-
   /// Blocks until every outstanding job delivered its result or error.
   void wait_idle() {
     std::unique_lock lk(jobs_mu_);
@@ -897,25 +883,21 @@ class engine {
   }
 
   /// Completion-side accounting, invoked once per job from the pool thread
-  /// that delivered its result or error: lifecycle histograms + ring entry
-  /// under jobs_mu_, service.* lifecycle metrics into the job's registry,
+  /// that delivered its result or error: the ring entry under jobs_mu_,
+  /// service.* lifecycle metrics into the job's registry,
   /// and the Chrome-trace lifecycle spans into its writer.
   void finish_job_accounting(service::job_scope_state& st,
                              service::job_outcome out) {
     const service::job_stats snap = st.snapshot();
-    const auto us = [](double seconds) {
-      return seconds <= 0.0 ? std::uint64_t{0}
-                            : static_cast<std::uint64_t>(seconds * 1e6);
-    };
     // External sinks (metrics, trace) are stamped BEFORE the locked block:
     // the moment that block releases the job's admission slot and notifies
     // idle_cv_, a wait_idle() caller may begin tearing the engine down, so
     // nothing after it may touch engine state.
-    stamp_completion_metrics(st, snap, out, us);
+    stamp_completion_metrics(st, snap, out);
     emit_job_spans(st, snap);
     {
       // One critical section for the whole terminal transition: the
-      // outcome bump, the lifecycle/ring records, the active_ decrement,
+      // outcome bump, the ring record, the active_ decrement,
       // the slot + memory release, and the idle notification. counters()
       // snapshots are taken under the same mutex, so conservation
       // (submitted == rejected + active + terminal outcomes) holds at
@@ -933,9 +915,6 @@ class engine {
         case service::job_outcome::shed: ++n_shed_; break;
         case service::job_outcome::running: break;  // unreachable
       }
-      lifecycle_.queue_wait_us.add(us(snap.queue_wait_seconds));
-      lifecycle_.run_us.add(us(snap.run_seconds));
-      lifecycle_.total_us.add(us(snap.total_seconds));
       if (completed_ring_ > 0) {
         recent_.push_back(snap);
         while (recent_.size() > completed_ring_) recent_.pop_front();
@@ -954,12 +933,15 @@ class engine {
     }
   }
 
-  template <typename UsFn>
   void stamp_completion_metrics(service::job_scope_state& st,
                                 const service::job_stats& snap,
-                                service::job_outcome out, UsFn us) {
+                                service::job_outcome out) {
     telemetry::metrics_registry* m = st.scope.metrics();
     if (m == nullptr) return;
+    const auto us = [](double seconds) {
+      return seconds <= 0.0 ? std::uint64_t{0}
+                            : static_cast<std::uint64_t>(seconds * 1e6);
+    };
     m->get_counter("service.jobs.completed").add();
     // The service.* robustness metric family (schema v3's service section
     // mirrors these).
@@ -1061,7 +1043,6 @@ class engine {
   // Completed-job introspection, all guarded by jobs_mu_.
   std::uint64_t jobs_completed_ = 0;
   std::deque<service::job_stats> recent_;
-  lifecycle_latencies lifecycle_;
   // Declared last: destroyed first, so the monitor thread is joined while
   // every other member it can reach is still alive (~engine wait_idle()s
   // before members are destroyed, so no live entries remain by then).

@@ -1,23 +1,16 @@
 // traversal_options — the one per-job configuration surface of the library.
 //
 // Before this struct, every call site assembled a visitor_queue_config by
-// hand and the SEM retry knobs travelled separately: the engine API, the
-// async_* free functions, agt_tool, and each bench harness all duplicated
-// the "threads / flush-batch / retries / backoff / sinks" plumbing, so
-// adding one option meant touching five parsers. traversal_options folds
-// all of it into a single struct with a single flag parser
-// (`from_flags`): the session API (engine::submit_*), the free-function
-// wrappers, and the tools all consume this one type.
+// hand: the engine API, the async_* free functions, agt_tool, and each bench
+// harness all duplicated the "threads / flush-batch / sinks / deadline"
+// plumbing, so adding one option meant touching five parsers.
+// traversal_options folds the per-job knobs into a single struct with a
+// single flag parser (`from_flags`): the session API (engine::submit_*), the
+// free-function wrappers, and the tools all consume this one type.
 //
-// It converts implicitly from visitor_queue_config, so pre-existing call
-// sites that pass a raw queue config to async_bfs/async_sssp/... keep
-// compiling unchanged.
-//
-// Layering: the I/O retry knobs are carried as plain integers (mirroring
-// sem::io_retry_policy's defaults) rather than as the sem type itself, so
-// the in-memory algorithm headers do not grow a dependency on the SEM
-// layer; SEM call sites build an io_retry_policy via the documented
-// correspondence (see agt_tool, bench/ext_concurrent_queries).
+// Storage knobs are not per-job: the semi-external I/O, cache and hot-block
+// flags belong to the graph a job runs on and are declared and parsed by
+// sem::sem_config (sem/sem_config.hpp) alone.
 #pragma once
 
 #include <cstddef>
@@ -43,41 +36,6 @@ struct traversal_options {
   /// The job's named-metric sink (borrowed, nullable): the engine records
   /// the job's queue.*, <algo>.* and service.* metrics into it.
   telemetry::metrics_registry* metrics = nullptr;
-
-  /// Transient-I/O retry budget for semi-external runs; mirrors
-  /// sem::io_retry_policy{max_retries, backoff_initial_us} defaults.
-  /// Ignored by in-memory runs.
-  std::uint32_t io_retries = 4;
-  std::uint32_t io_backoff_us = 50;
-
-  /// Semi-external I/O backend selection; carried as the flag string (same
-  /// layering rule as the retry knobs — no sem types here). SEM call sites
-  /// build an io_backend_config via sem::parse_io_backend_kind(io_backend)
-  /// with batch = io_batch. Ignored by in-memory runs.
-  std::string io_backend = "sync";
-  std::uint32_t io_batch = 8;
-
-  /// Hot-block scheduling knobs (docs/hot_blocks.md), carried as plain
-  /// types per the layering rule above; sem::sem_config::from_options
-  /// consumes them (together with queue.order == hot) to build the
-  /// pressure tracker, cache policy, and prefetch lane. Ignored by
-  /// in-memory runs except queue.order, which any run honours.
-  ///
-  /// cache_policy: block-cache admission/eviction policy, "lru" (the
-  /// behavior-identical default) or "pressure" (resists evicting blocks
-  /// with queued visitors).
-  std::string cache_policy = "lru";
-  /// cache_fraction: simulated page-cache size as a fraction of the graph
-  /// file's blocks. Negative = not specified on the command line; each
-  /// tool/bench keeps its own default (agt_tool: 0.5 in demo mode, 0 with
-  /// explicit --sem; table4/table5: their calibrated per-table values).
-  double cache_fraction = -1.0;
-  /// prefetch_hot: async readahead of hot non-resident blocks on the
-  /// coalescing/uring backends (ignored on sync).
-  bool prefetch_hot = false;
-  /// hot_threshold: pending-visitor count at which a block counts as hot
-  /// (ordering band, prefetch trigger, eviction resistance).
-  std::uint32_t hot_threshold = 4;
 
   /// Frontier-adaptive hybrid traversal (docs/hybrid_traversal.md). When
   /// set, BFS/CC drivers that support it flip from asynchronous top-down
@@ -111,11 +69,6 @@ struct traversal_options {
   /// memory_budget_bytes guardrail; 0 = unaccounted. Callers typically pass
   /// graph.resident_bytes() (+ cache share for SEM runs).
   std::uint64_t memory_estimate_bytes = 0;
-
-  traversal_options() = default;
-  /// Implicit on purpose: every pre-service call site passes a
-  /// visitor_queue_config and must keep compiling.
-  traversal_options(const visitor_queue_config& cfg) : queue(cfg) {}
 
   traversal_options& with_threads(std::size_t n) {
     queue.num_threads = n;
@@ -151,20 +104,9 @@ struct traversal_options {
   ///   --flush-batch=N    delivery batch          (default 64 IM, 1 SEM —
   ///                      batching delay fragments the semi-sorted visit
   ///                      order the SEM block cache depends on, tuning.md)
-  ///   --io-retries=N     transient-errno budget  (default 4)
-  ///   --io-backoff-us=N  initial retry backoff   (default 50)
-  ///   --io-backend=NAME  SEM read path: sync | coalescing | uring
-  ///                      (default sync; docs/io_backends.md)
-  ///   --io-batch=N       coalescing/uring batch depth (default 8)
   ///   --ordering=NAME    pop order: priority | fifo | lifo | hot
   ///                      (default priority; hot = pending-pressure bands,
   ///                      docs/hot_blocks.md)
-  ///   --cache-policy=P   block-cache policy: lru | pressure (default lru)
-  ///   --cache-fraction=F page-cache size as a fraction of the file's
-  ///                      blocks (default: tool/bench-specific)
-  ///   --prefetch-hot     readahead hot non-resident blocks (coalescing/
-  ///                      uring backends only; default off)
-  ///   --hot-threshold=N  pending visitors that make a block hot (default 4)
   ///   --hybrid           frontier-adaptive direction switching (default
   ///                      off; needs a reverse view on the graph)
   ///   --hybrid-alpha=X   top-down -> bottom-up threshold (default 14)
@@ -174,6 +116,8 @@ struct traversal_options {
   ///                      declared stalled (default 0 = off)
   ///   --priority=P       admission priority: low | normal | high | int
   /// `sem_mode` selects the SEM defaults (flush batch, secondary sort).
+  /// The SEM storage flags (--io-*, --cache-*, --prefetch-hot,
+  /// --hot-threshold) are sem::sem_config::from_flags's.
   static traversal_options from_flags(const options& opt,
                                       bool sem_mode = false) {
     traversal_options o;
@@ -182,13 +126,6 @@ struct traversal_options {
     o.queue.flush_batch = static_cast<std::size_t>(
         opt.get_int("flush-batch", sem_mode ? 1 : 64));
     o.queue.secondary_vertex_sort = sem_mode;
-    o.io_retries = static_cast<std::uint32_t>(
-        opt.get_int("io-retries", static_cast<std::int64_t>(o.io_retries)));
-    o.io_backoff_us = static_cast<std::uint32_t>(opt.get_int(
-        "io-backoff-us", static_cast<std::int64_t>(o.io_backoff_us)));
-    o.io_backend = opt.get_string("io-backend", o.io_backend);
-    o.io_batch = static_cast<std::uint32_t>(
-        opt.get_int("io-batch", static_cast<std::int64_t>(o.io_batch)));
     const std::string ordering = opt.get_string("ordering", "priority");
     if (ordering == "priority") {
       o.queue.order = queue_order::priority;
@@ -201,19 +138,6 @@ struct traversal_options {
     } else {
       throw std::invalid_argument("bad --ordering value: " + ordering +
                                   " (expected priority|fifo|lifo|hot)");
-    }
-    o.cache_policy = opt.get_string("cache-policy", o.cache_policy);
-    if (o.cache_policy != "lru" && o.cache_policy != "pressure") {
-      throw std::invalid_argument("bad --cache-policy value: " +
-                                  o.cache_policy +
-                                  " (expected lru|pressure)");
-    }
-    o.cache_fraction = opt.get_double("cache-fraction", o.cache_fraction);
-    o.prefetch_hot = opt.get_bool("prefetch-hot", false);
-    o.hot_threshold = static_cast<std::uint32_t>(opt.get_int(
-        "hot-threshold", static_cast<std::int64_t>(o.hot_threshold)));
-    if (o.hot_threshold == 0) {
-      throw std::invalid_argument("--hot-threshold must be >= 1");
     }
     o.hybrid = opt.get_bool("hybrid", false);
     o.hybrid_alpha = opt.get_double("hybrid-alpha", o.hybrid_alpha);

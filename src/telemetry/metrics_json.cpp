@@ -42,12 +42,11 @@ json_value to_json(const metrics_snapshot& snap) {
         const std::uint64_t max = std::max(e.min, e.max);
         h.set("min", e.min);
         h.set("max", max);
-        const auto lo = static_cast<double>(e.min);
-        const auto hi = static_cast<double>(max);
-        const percentile_set p = percentiles_from_log2(e.buckets);
-        h.set("p50", std::clamp(p.p50, lo, hi));
-        h.set("p95", std::clamp(p.p95, lo, hi));
-        h.set("p99", std::clamp(p.p99, lo, hi));
+        const percentile_set p = percentiles_in_range(
+            e.buckets, static_cast<double>(e.min), static_cast<double>(max));
+        h.set("p50", p.p50);
+        h.set("p95", p.p95);
+        h.set("p99", p.p99);
         h.set("buckets", buckets_to_json(e.buckets));
         out.set(e.name, std::move(h));
         break;

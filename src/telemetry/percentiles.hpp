@@ -13,9 +13,10 @@
 // The bucket upper bound can exceed the largest recorded value by up to 2x;
 // pass the exact recorded maximum as `clamp_max` where one is tracked
 // (io_recorder does) so p99 <= max also holds. Registry histograms track
-// their exact min and max, and to_json clamps into that range.
+// their exact min and max; percentiles_in_range clamps into that range.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -65,6 +66,18 @@ inline percentile_set percentiles_from_log2(
   out.p95 = percentile_from_log2(buckets, 95.0, clamp_max);
   out.p99 = percentile_from_log2(buckets, 99.0, clamp_max);
   return out;
+}
+
+/// Percentiles clamped into the exact recorded range [lo, hi] (registry
+/// histograms keep their min and max), so min <= p50 <= p95 <= p99 <= max
+/// holds and a one-valued series reports that value.
+inline percentile_set percentiles_in_range(
+    const std::vector<std::uint64_t>& buckets, double lo, double hi) {
+  percentile_set p = percentiles_from_log2(buckets);
+  p.p50 = std::clamp(p.p50, lo, hi);
+  p.p95 = std::clamp(p.p95, lo, hi);
+  p.p99 = std::clamp(p.p99, lo, hi);
+  return p;
 }
 
 }  // namespace asyncgt::telemetry

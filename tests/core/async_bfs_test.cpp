@@ -14,9 +14,9 @@
 namespace asyncgt {
 namespace {
 
-visitor_queue_config threads(std::size_t n) {
-  visitor_queue_config cfg;
-  cfg.num_threads = n;
+traversal_options threads(std::size_t n) {
+  traversal_options cfg;
+  cfg.queue.num_threads = n;
   return cfg;
 }
 

@@ -15,9 +15,9 @@
 namespace asyncgt {
 namespace {
 
-visitor_queue_config threads(std::size_t n) {
-  visitor_queue_config cfg;
-  cfg.num_threads = n;
+traversal_options threads(std::size_t n) {
+  traversal_options cfg;
+  cfg.queue.num_threads = n;
   return cfg;
 }
 
@@ -68,8 +68,8 @@ TEST(AsyncSssp, MultipleVisitsPerVertexHappen) {
                                           {3, 0, 1},
                                           {3, 4, 2},
                                           {4, 0, 3}});
-  visitor_queue_config cfg = threads(1);
-  cfg.order = queue_order::fifo;
+  traversal_options cfg = threads(1);
+  cfg.queue.order = queue_order::fifo;
   const auto r = async_sssp(g, vertex32{0}, cfg);
   EXPECT_EQ(r.dist[3], 6u);  // still correct
   EXPECT_GT(r.stats.visits, 5u);
@@ -156,9 +156,9 @@ TEST(AsyncSssp, PriorityOrderDoesFewerRevisitsThanLifo) {
   // relaxations low; LIFO ordering must do at least as many visits.
   const csr32 g =
       add_weights(rmat_graph<vertex32>(rmat_a(10)), weight_scheme::uniform, 3);
-  visitor_queue_config prio = threads(1);
-  visitor_queue_config lifo = threads(1);
-  lifo.order = queue_order::lifo;
+  traversal_options prio = threads(1);
+  traversal_options lifo = threads(1);
+  lifo.queue.order = queue_order::lifo;
   const auto a = async_sssp(g, vertex32{0}, prio);
   const auto b = async_sssp(g, vertex32{0}, lifo);
   EXPECT_EQ(a.dist, b.dist);

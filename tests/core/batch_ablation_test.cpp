@@ -20,10 +20,10 @@
 namespace asyncgt {
 namespace {
 
-visitor_queue_config cfg_with(std::size_t threads, std::size_t batch) {
-  visitor_queue_config cfg;
-  cfg.num_threads = threads;
-  cfg.flush_batch = batch;
+traversal_options cfg_with(std::size_t threads, std::size_t batch) {
+  traversal_options cfg;
+  cfg.queue.num_threads = threads;
+  cfg.queue.flush_batch = batch;
   return cfg;
 }
 

@@ -29,9 +29,9 @@ class CheckpointTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-visitor_queue_config threads(std::size_t n) {
-  visitor_queue_config cfg;
-  cfg.num_threads = n;
+traversal_options threads(std::size_t n) {
+  traversal_options cfg;
+  cfg.queue.num_threads = n;
   return cfg;
 }
 

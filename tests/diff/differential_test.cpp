@@ -83,14 +83,14 @@ class Differential : public ::testing::TestWithParam<int> {
   /// bundle currently opened by on_mode (in memory there is no block
   /// pressure, so the advisor stays null and every visitor lands in the
   /// cold band — still exercising the hot engine end to end).
-  visitor_queue_config cfg() const {
-    visitor_queue_config c;
-    c.num_threads = 8;
-    c.flush_batch = 1;
-    c.secondary_vertex_sort = true;
+  traversal_options cfg() const {
+    traversal_options c;
+    c.queue.num_threads = 8;
+    c.queue.flush_batch = 1;
+    c.queue.secondary_vertex_sort = true;
     if (mode_.hot) {
-      c.order = queue_order::hot;
-      c.advisor = advisor_;
+      c.queue.order = queue_order::hot;
+      c.queue.advisor = advisor_;
     }
     return c;
   }

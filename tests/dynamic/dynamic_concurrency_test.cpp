@@ -25,9 +25,9 @@ namespace asyncgt {
 namespace {
 
 traversal_options small_cfg() {
-  visitor_queue_config q;
-  q.num_threads = 2;
-  return traversal_options(q);
+  traversal_options o;
+  o.queue.num_threads = 2;
+  return o;
 }
 
 TEST(DynamicConcurrency, ConcurrentApplyAndPinnedIterationAreConsistent) {

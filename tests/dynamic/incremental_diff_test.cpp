@@ -35,10 +35,10 @@ namespace {
 constexpr std::uint32_t kSeeds[] = {3, 19};
 
 traversal_options cfg() {
-  visitor_queue_config q;
-  q.num_threads = 4;
-  q.flush_batch = 1;
-  return traversal_options(q);
+  traversal_options o;
+  o.queue.num_threads = 4;
+  o.queue.flush_batch = 1;
+  return o;
 }
 
 template <typename T>

@@ -30,14 +30,14 @@
 namespace asyncgt {
 namespace {
 
-visitor_queue_config small_cfg() {
-  visitor_queue_config c;
-  c.num_threads = 4;
+traversal_options small_cfg() {
+  traversal_options c;
+  c.queue.num_threads = 4;
   return c;
 }
 
 traversal_options hybrid_opts(double alpha, double beta) {
-  traversal_options o(small_cfg());
+  traversal_options o = small_cfg();
   o.hybrid = true;
   o.hybrid_alpha = alpha;
   o.hybrid_beta = beta;

@@ -33,10 +33,10 @@ class EndToEndTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-visitor_queue_config threads(std::size_t n, bool semisort = false) {
-  visitor_queue_config cfg;
-  cfg.num_threads = n;
-  cfg.secondary_vertex_sort = semisort;
+traversal_options threads(std::size_t n, bool semisort = false) {
+  traversal_options cfg;
+  cfg.queue.num_threads = n;
+  cfg.queue.secondary_vertex_sort = semisort;
   return cfg;
 }
 

@@ -41,9 +41,9 @@ class FaultSoak : public ::testing::Test {
     return p;
   }
 
-  static visitor_queue_config threads(std::size_t n) {
-    visitor_queue_config cfg;
-    cfg.num_threads = n;
+  static traversal_options threads(std::size_t n) {
+    traversal_options cfg;
+    cfg.queue.num_threads = n;
     return cfg;
   }
 

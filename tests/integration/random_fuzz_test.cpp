@@ -67,10 +67,10 @@ csr32 with_random_weights(const csr32& g, std::mt19937& rng) {
                      rng());
 }
 
-visitor_queue_config random_cfg(std::mt19937& rng) {
-  visitor_queue_config cfg;
-  cfg.num_threads = 1 + rng() % 24;
-  cfg.secondary_vertex_sort = (rng() % 2 == 0);
+traversal_options random_cfg(std::mt19937& rng) {
+  traversal_options cfg;
+  cfg.queue.num_threads = 1 + rng() % 24;
+  cfg.queue.secondary_vertex_sort = (rng() % 2 == 0);
   return cfg;
 }
 

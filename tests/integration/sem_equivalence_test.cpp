@@ -52,10 +52,10 @@ class SemEquivalence : public ::testing::TestWithParam<int> {
     return sem::sem_csr32(p);
   }
 
-  visitor_queue_config cfg() const {
-    visitor_queue_config c;
-    c.num_threads = 16;
-    c.secondary_vertex_sort = true;
+  traversal_options cfg() const {
+    traversal_options c;
+    c.queue.num_threads = 16;
+    c.queue.secondary_vertex_sort = true;
     return c;
   }
 

@@ -121,10 +121,10 @@ TEST(HotOrdering, NullAdvisorDegradesToPriorityOrder) {
 TEST(HotOrdering, EngineFiresOneEnqueuePerDeliveryAndOneCompletePerVisit) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(9));
   counting_advisor advisor;
-  visitor_queue_config cfg;
-  cfg.num_threads = 8;
-  cfg.order = queue_order::hot;
-  cfg.advisor = &advisor;
+  traversal_options cfg;
+  cfg.queue.num_threads = 8;
+  cfg.queue.order = queue_order::hot;
+  cfg.queue.advisor = &advisor;
 
   const auto r = async_bfs(g, vertex32{0}, cfg);
   EXPECT_EQ(r.level, serial_bfs(g, vertex32{0}).level)
@@ -140,9 +140,9 @@ TEST(HotOrdering, EngineFiresOneEnqueuePerDeliveryAndOneCompletePerVisit) {
 
 TEST(HotOrdering, HotOrderWithoutAdvisorStillTraversesCorrectly) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(8));
-  visitor_queue_config cfg;
-  cfg.num_threads = 4;
-  cfg.order = queue_order::hot;  // advisor left null: all-cold degradation
+  traversal_options cfg;
+  cfg.queue.num_threads = 4;
+  cfg.queue.order = queue_order::hot;  // advisor left null: all-cold
   const auto r = async_bfs(g, vertex32{0}, cfg);
   EXPECT_EQ(r.level, serial_bfs(g, vertex32{0}).level);
   EXPECT_EQ(r.stats.hot_pops, 0u);

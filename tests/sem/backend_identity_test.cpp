@@ -35,11 +35,11 @@ class BackendIdentity : public ::testing::Test {
     return p;
   }
 
-  visitor_queue_config cfg() const {
-    visitor_queue_config c;
-    c.num_threads = 8;
-    c.flush_batch = 1;
-    c.secondary_vertex_sort = true;
+  traversal_options cfg() const {
+    traversal_options c;
+    c.queue.num_threads = 8;
+    c.queue.flush_batch = 1;
+    c.queue.secondary_vertex_sort = true;
     return c;
   }
 

@@ -10,8 +10,9 @@
 //   * wire_queue installing queue_order::hot + the bundle's advisor;
 //   * the prefetch lane gating: batching backend AND a cache, never sync;
 //   * with_reverse materializing a separate reverse cache/heat pair;
-//   * from_options mapping (duck-typed traversal_options shape), including
-//     the negative-cache_fraction "caller decides" convention;
+//   * from_flags, the one SEM flag parser, checked against the bundle it
+//     opens (backend, retries, hot machinery, cache size, reverse view) and
+//     its validation of --cache-policy / --hot-threshold;
 //   * unknown policy / backend names throwing at open().
 #include "sem/sem_config.hpp"
 
@@ -21,12 +22,15 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/async_bfs.hpp"
 #include "baselines/serial_bfs.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph_io.hpp"
+#include "service/traversal_options.hpp"
+#include "util/options.hpp"
 
 namespace asyncgt::sem {
 namespace {
@@ -119,14 +123,14 @@ TEST_F(SemConfigTest, PressureBuiltForHotOrderingOrPressurePolicy) {
 
 TEST_F(SemConfigTest, WireQueueInstallsHotOrderAndAdvisor) {
   const auto bundle = sem_config(path_).with_hot_ordering().open<vertex32>();
-  visitor_queue_config q;
-  bundle.wire_queue(q);
-  EXPECT_EQ(q.order, queue_order::hot);
-  EXPECT_EQ(q.advisor, bundle.advisor.get());
+  traversal_options o;
+  bundle.wire_queue(o.queue);
+  EXPECT_EQ(o.queue.order, queue_order::hot);
+  EXPECT_EQ(o.queue.advisor, bundle.advisor.get());
 
   // The wired config drives a correct traversal end to end.
-  q.num_threads = 4;
-  const auto r = async_bfs(*bundle.graph, vertex32{0}, q);
+  o.queue.num_threads = 4;
+  const auto r = async_bfs(*bundle.graph, vertex32{0}, o);
   EXPECT_EQ(r.level, serial_bfs(g_, vertex32{0}).level);
   EXPECT_EQ(bundle.pressure->total_increments(),
             bundle.pressure->total_decrements());
@@ -174,40 +178,80 @@ TEST_F(SemConfigTest, ReverseViewGetsItsOwnCacheAndHeat) {
   EXPECT_STREQ(bundle.reverse_cache->policy_name(), "lru");
 }
 
-TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
-  // Duck-typed stand-in for service-layer traversal_options (sem_config
-  // deliberately never includes the service layer).
-  struct options_shape {
-    std::string io_backend = "coalescing";
-    std::uint32_t io_batch = 16;
-    std::uint32_t io_retries = 7;
-    std::uint32_t io_backoff_us = 10;
-    visitor_queue_config queue;
-    std::uint32_t hot_threshold = 2;
-    std::string cache_policy = "pressure";
-    bool prefetch_hot = true;
-    bool hybrid = false;
-    double cache_fraction = -1.0;
-  } t;
-  t.queue.order = queue_order::hot;
+/// Parses argv the way agt_tool and the benches do.
+options flags(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return options(static_cast<int>(args.size()), args.data());
+}
 
-  sem_config c = sem_config::from_options(t, path_);
-  EXPECT_EQ(c.path(), path_);
-  EXPECT_EQ(c.io_backend_name(), "coalescing");
-  EXPECT_EQ(c.io_batch(), 16u);
-  EXPECT_TRUE(c.hot_ordering());
-  EXPECT_EQ(c.hot_threshold(), 2u);
-  EXPECT_EQ(c.cache_policy(), "pressure");
-  EXPECT_TRUE(c.prefetch_hot());
-  // Negative cache_fraction means "caller decides": the builder default (0,
-  // no cache) survives until the call site resolves its own default.
-  EXPECT_EQ(c.cache_fraction(), 0.0);
+TEST_F(SemConfigTest, FromFlagsOpensWhatTheFlagsSay) {
+  const std::uint64_t file_blocks =
+      std::filesystem::file_size(path_) / default_block_bytes + 1;
+  const auto bundle =
+      sem_config::from_flags(
+          flags({"--io-backend=coalescing", "--io-batch=16",
+                 "--io-retries=7", "--io-backoff-us=10",
+                 "--cache-policy=pressure", "--cache-fraction=0.5",
+                 "--prefetch-hot", "--hot-threshold=2", "--ordering=hot"}),
+          path_)
+          .open<vertex32>();
+  EXPECT_EQ(bundle.graph->backend_config().kind, io_backend_kind::coalescing);
+  EXPECT_EQ(bundle.graph->backend_config().batch, 16u);
+  EXPECT_EQ(bundle.graph->retry_policy().max_retries, 7u);
+  EXPECT_EQ(bundle.graph->retry_policy().backoff_initial_us, 10u);
+  ASSERT_NE(bundle.cache, nullptr);
+  EXPECT_EQ(bundle.cache->capacity(),
+            static_cast<std::uint64_t>(0.5 * static_cast<double>(file_blocks)));
+  EXPECT_STREQ(bundle.cache->policy_name(), "pressure");
+  EXPECT_NE(bundle.pressure, nullptr);
+  ASSERT_NE(bundle.advisor, nullptr);
+  EXPECT_EQ(bundle.advisor->hot_threshold(), 2u);
+  EXPECT_NE(bundle.prefetch, nullptr);
+  EXPECT_FALSE(bundle.graph->has_reverse());
+}
 
-  t.cache_fraction = 0.3;
-  t.queue.order = queue_order::priority;
-  sem_config c2 = sem_config::from_options(t, path_);
-  EXPECT_EQ(c2.cache_fraction(), 0.3);
-  EXPECT_FALSE(c2.hot_ordering());
+TEST_F(SemConfigTest, FromFlagsDefaultsOpenABareSyncGraph) {
+  const std::uint64_t file_blocks =
+      std::filesystem::file_size(path_) / default_block_bytes + 1;
+  // Without --cache-fraction the caller's default sizes the cache.
+  const auto bundle =
+      sem_config::from_flags(flags({}), path_, 0.25).open<vertex32>();
+  EXPECT_EQ(bundle.graph->backend_config().kind, io_backend_kind::sync);
+  EXPECT_EQ(bundle.graph->backend_config().batch, 8u);
+  EXPECT_EQ(bundle.graph->retry_policy().max_retries, 4u);
+  EXPECT_EQ(bundle.graph->retry_policy().backoff_initial_us, 50u);
+  ASSERT_NE(bundle.cache, nullptr);
+  EXPECT_EQ(bundle.cache->capacity(), static_cast<std::uint64_t>(
+                                          0.25 * static_cast<double>(
+                                                     file_blocks)));
+  EXPECT_STREQ(bundle.cache->policy_name(), "lru");
+  EXPECT_EQ(bundle.pressure, nullptr);
+  EXPECT_EQ(bundle.advisor, nullptr);
+  EXPECT_EQ(bundle.prefetch, nullptr);
+
+  // The default default is no cache at all.
+  EXPECT_EQ(sem_config::from_flags(flags({}), path_).open<vertex32>().cache,
+            nullptr);
+  // --ordering other than hot builds no hot machinery.
+  EXPECT_EQ(sem_config::from_flags(flags({"--ordering=fifo"}), path_)
+                .open<vertex32>()
+                .pressure,
+            nullptr);
+}
+
+TEST_F(SemConfigTest, FromFlagsHybridOpensTheReverseView) {
+  const std::string p = (dir_ / "rev.agt").string();
+  write_graph_with_reverse(p, rmat_graph<vertex32>(rmat_a(7)));
+  const auto bundle =
+      sem_config::from_flags(flags({"--hybrid"}), p).open<vertex32>();
+  EXPECT_TRUE(bundle.graph->has_reverse());
+}
+
+TEST_F(SemConfigTest, FromFlagsRejectsBadValues) {
+  EXPECT_THROW(sem_config::from_flags(flags({"--cache-policy=mru"}), path_),
+               std::invalid_argument);
+  EXPECT_THROW(sem_config::from_flags(flags({"--hot-threshold=0"}), path_),
+               std::invalid_argument);
 }
 
 TEST_F(SemConfigTest, UnknownNamesThrowAtOpen) {

@@ -108,9 +108,9 @@ TEST_F(SemCsrTest, ChargesDeviceForReads) {
 TEST_F(SemCsrTest, AsyncBfsOverSemMatchesSerialInMemory) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(8));
   sem_csr32 sg(write_temp(g, "bfs.agt"));
-  visitor_queue_config cfg;
-  cfg.num_threads = 16;
-  cfg.secondary_vertex_sort = true;  // the paper's SEM configuration
+  traversal_options cfg;
+  cfg.queue.num_threads = 16;
+  cfg.queue.secondary_vertex_sort = true;  // the paper's SEM configuration
   const auto sem_r = async_bfs(sg, vertex32{0}, cfg);
   const auto ref = serial_bfs(g, vertex32{0});
   EXPECT_EQ(sem_r.level, ref.level);
@@ -120,9 +120,9 @@ TEST_F(SemCsrTest, AsyncSsspOverSemMatchesDijkstra) {
   const csr32 g =
       add_weights(rmat_graph<vertex32>(rmat_a(8)), weight_scheme::uniform, 7);
   sem_csr32 sg(write_temp(g, "sssp.agt"));
-  visitor_queue_config cfg;
-  cfg.num_threads = 16;
-  cfg.secondary_vertex_sort = true;
+  traversal_options cfg;
+  cfg.queue.num_threads = 16;
+  cfg.queue.secondary_vertex_sort = true;
   const auto sem_r = async_sssp(sg, vertex32{0}, cfg);
   EXPECT_EQ(sem_r.dist, dijkstra_sssp(g, vertex32{0}).dist);
 }
@@ -130,9 +130,9 @@ TEST_F(SemCsrTest, AsyncSsspOverSemMatchesDijkstra) {
 TEST_F(SemCsrTest, AsyncCcOverSemMatchesSerial) {
   const csr32 g = rmat_graph_undirected<vertex32>(rmat_a(8));
   sem_csr32 sg(write_temp(g, "cc.agt"));
-  visitor_queue_config cfg;
-  cfg.num_threads = 16;
-  cfg.secondary_vertex_sort = true;
+  traversal_options cfg;
+  cfg.queue.num_threads = 16;
+  cfg.queue.secondary_vertex_sort = true;
   const auto sem_r = async_cc(sg, cfg);
   EXPECT_EQ(sem_r.component, serial_cc(g).component);
 }
@@ -144,8 +144,8 @@ TEST_F(SemCsrTest, TraversalWithSimulatedDeviceStillCorrect) {
   p.channels = 8;
   ssd_model dev(p);
   sem_csr32 sg(write_temp(g, "dev.agt"), &dev);
-  visitor_queue_config cfg;
-  cfg.num_threads = 32;  // oversubscription hides the simulated latency
+  traversal_options cfg;
+  cfg.queue.num_threads = 32;  // oversubscription hides the simulated latency
   const auto sem_r = async_bfs(sg, vertex32{0}, cfg);
   EXPECT_EQ(sem_r.level, serial_bfs(g, vertex32{0}).level);
   EXPECT_GT(dev.counters().reads, 0u);

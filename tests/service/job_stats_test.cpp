@@ -12,7 +12,8 @@
 //     promise fulfillment);
 //   * the completed-job ring (engine::recent_jobs) retains the last N
 //     summaries and evicts the oldest;
-//   * engine-lifetime lifecycle histograms sample once per completed job;
+//   * the registry's service.job.*_us histograms sample once per completed
+//     job;
 //   * cancelled and failed jobs latch the matching flags (cancelled wins
 //     over failed for a cancellation abort);
 //   * completed jobs land lifecycle spans (submit->admit->gang-run) on
@@ -155,15 +156,15 @@ TEST(JobStats, ZeroRingDisablesRetention) {
 }
 
 TEST(JobStats, LifecycleHistogramsSampleOncePerCompletedJob) {
-  engine eng({.pool_threads = 4, .defaults = threads(4)});
+  telemetry::metrics_registry reg;
+  engine eng({.pool_threads = 4, .defaults = threads(4).with_metrics(&reg)});
   const csr32 g = rmat_graph<vertex32>(rmat_a(9));
   for (int i = 0; i < 5; ++i) (void)eng.submit_bfs(g, vertex32{0}).get();
   eng.wait_idle();
 
-  const auto life = eng.lifecycle();
-  EXPECT_EQ(life.total_us.total(), 5u);
-  EXPECT_EQ(life.queue_wait_us.total(), 5u);
-  EXPECT_EQ(life.run_us.total(), 5u);
+  EXPECT_EQ(reg.get_histogram("service.job.total_us").total(), 5u);
+  EXPECT_EQ(reg.get_histogram("service.job.queue_wait_us").total(), 5u);
+  EXPECT_EQ(reg.get_histogram("service.job.run_us").total(), 5u);
   EXPECT_EQ(eng.jobs_completed(), 5u);
 }
 

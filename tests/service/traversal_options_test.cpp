@@ -1,9 +1,9 @@
-// traversal_options is the one per-job configuration surface (satellite of
-// the service PR): it must convert implicitly from visitor_queue_config so
-// every pre-service call site keeps compiling, and from_flags must be the
-// single source of truth for the CLI knobs agt_tool and the bench harnesses
-// share (threads / flush-batch / io-retries / io-backoff-us, with SEM-mode
-// defaults).
+// traversal_options is the one per-job configuration surface: callers set
+// the queue knobs through its `queue` member, and from_flags is the single
+// source of truth for the per-job CLI knobs agt_tool and the bench harnesses
+// share (threads / flush-batch / ordering / hybrid / deadline / priority,
+// with SEM-mode defaults). The SEM storage flags are sem_config's
+// (sem_config_test).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,24 +15,6 @@
 
 namespace asyncgt {
 namespace {
-
-// Stand-in for async_bfs(g, start, opts): pre-service call sites pass a raw
-// visitor_queue_config here and must keep compiling via the implicit
-// conversion.
-std::size_t takes_options(traversal_options o) { return o.queue.num_threads; }
-
-TEST(TraversalOptions, ImplicitConversionFromQueueConfig) {
-  visitor_queue_config cfg;
-  cfg.num_threads = 12;
-  cfg.flush_batch = 7;
-  EXPECT_EQ(takes_options(cfg), 12u);
-
-  const traversal_options o = cfg;  // copy-initialization, not explicit
-  EXPECT_EQ(o.queue.flush_batch, 7u);
-  // The SEM knobs keep their defaults — the queue config never carried them.
-  EXPECT_EQ(o.io_retries, 4u);
-  EXPECT_EQ(o.io_backoff_us, 50u);
-}
 
 TEST(TraversalOptions, BuildersChain) {
   telemetry::metrics_registry reg;
@@ -56,8 +38,9 @@ TEST(TraversalOptions, FromFlagsImDefaults) {
   EXPECT_EQ(o.queue.num_threads, 16u);
   EXPECT_EQ(o.queue.flush_batch, 64u);
   EXPECT_FALSE(o.queue.secondary_vertex_sort);
-  EXPECT_EQ(o.io_retries, 4u);
-  EXPECT_EQ(o.io_backoff_us, 50u);
+  EXPECT_EQ(o.queue.order, queue_order::priority);
+  EXPECT_FALSE(o.hybrid);
+  EXPECT_EQ(o.deadline_ms, 0u);
 }
 
 TEST(TraversalOptions, FromFlagsSemDefaults) {
@@ -72,14 +55,21 @@ TEST(TraversalOptions, FromFlagsSemDefaults) {
 }
 
 TEST(TraversalOptions, FromFlagsParsesEveryKnob) {
-  const char* argv[] = {"prog", "--threads=7", "--flush-batch=3",
-                        "--io-retries=9", "--io-backoff-us=123"};
-  const options opt(5, argv);
+  // The SEM storage flags ride along on the same command line; this parser
+  // leaves them to sem_config::from_flags.
+  const char* argv[] = {"prog",           "--threads=7",
+                        "--flush-batch=3", "--ordering=fifo",
+                        "--hybrid",       "--deadline-ms=250",
+                        "--priority=high", "--io-retries=9",
+                        "--cache-policy=pressure"};
+  const options opt(9, argv);
   const traversal_options o = traversal_options::from_flags(opt);
   EXPECT_EQ(o.queue.num_threads, 7u);
   EXPECT_EQ(o.queue.flush_batch, 3u);
-  EXPECT_EQ(o.io_retries, 9u);
-  EXPECT_EQ(o.io_backoff_us, 123u);
+  EXPECT_EQ(o.queue.order, queue_order::fifo);
+  EXPECT_TRUE(o.hybrid);
+  EXPECT_EQ(o.deadline_ms, 250u);
+  EXPECT_EQ(o.priority, 1);
 
   // Explicit flags beat the SEM-mode flush-batch default too.
   const traversal_options sem = traversal_options::from_flags(opt, true);

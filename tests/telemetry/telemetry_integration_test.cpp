@@ -90,9 +90,9 @@ TEST(TelemetryIntegration, SamplerObservesARealTraversal) {
   telemetry::sampler sampler;
   sampler.start(std::chrono::microseconds(200));
 
-  visitor_queue_config cfg;
-  cfg.num_threads = 8;
-  cfg.sampler = &sampler;
+  traversal_options cfg;
+  cfg.queue.num_threads = 8;
+  cfg.queue.sampler = &sampler;
   // Enough rounds that the ~200us sampler lands mid-run at least once.
   for (int i = 0; i < 50; ++i) async_bfs(g, 0, cfg);
   sampler.stop();
@@ -111,9 +111,9 @@ TEST(TelemetryIntegration, SamplerObservesARealTraversal) {
 TEST(TelemetryIntegration, ProbesUnregisterAfterRun) {
   const csr32 g = test_graph();
   telemetry::sampler sampler;
-  visitor_queue_config cfg;
-  cfg.num_threads = 4;
-  cfg.sampler = &sampler;
+  traversal_options cfg;
+  cfg.queue.num_threads = 4;
+  cfg.queue.sampler = &sampler;
   async_bfs(g, 0, cfg);
   // The queue's probes were removed when run() returned: a later tick adds
   // no new points (the queue object is gone by then in real callers).
@@ -132,10 +132,9 @@ TEST(TelemetryIntegration, ProbesUnregisterAfterRun) {
 TEST(TelemetryIntegration, TraceCapturesWorkerSpans) {
   const csr32 g = test_graph();
   telemetry::trace_writer trace;
-  visitor_queue_config cfg;
-  cfg.num_threads = 4;
-  cfg.trace = &trace;
-  cfg.trace_sample_every = 8;
+  traversal_options cfg;
+  cfg.queue.num_threads = 4;
+  cfg.queue.trace = &trace;
   async_bfs(g, 0, cfg);
 
   const auto doc = telemetry::json_value::parse(trace.to_json_string());
@@ -146,7 +145,7 @@ TEST(TelemetryIntegration, TraceCapturesWorkerSpans) {
       ++visit_spans;
     }
   }
-  // 1-in-8 sampling over thousands of visits leaves plenty of spans.
+  // 1-in-64 sampling over thousands of visits leaves plenty of spans.
   EXPECT_GT(visit_spans, 10u);
 }
 

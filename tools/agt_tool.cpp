@@ -379,6 +379,14 @@ int run_traversal(const options& opt, const char* name, F&& run) {
 
   int rc;
   if (sem_mode) {
+    // One builder declaration replaces the old five-setter wiring: backend,
+    // cache (+ policy), retries, hot-block machinery, reverse view, fault
+    // injector, and recorder all land through sem_config (sem_config.hpp),
+    // which also parses every SEM flag. Demo mode enables the cache (the SEM
+    // report should show hit/miss/eviction dynamics); explicit --sem keeps
+    // the seed default of no cache unless --cache-fraction asks for one.
+    sem::sem_config scfg = sem::sem_config::from_flags(
+        opt, path, temp_file.empty() ? 0.0 : 0.5);
     const auto params = sem::device_preset_by_name(
         opt.get_string("device", "intel"),
         opt.get_double("time-scale", 1.0));
@@ -400,17 +408,7 @@ int run_traversal(const options& opt, const char* name, F&& run) {
                    reverse_path_for(path).c_str());
       return 2;
     }
-    // One builder declaration replaces the old five-setter wiring: backend,
-    // cache (+ policy), retries, hot-block machinery, reverse view, fault
-    // injector, and recorder all land through sem_config (sem_config.hpp).
-    // Demo mode enables the cache (the SEM report should show hit/miss/
-    // eviction dynamics); explicit --sem keeps the seed default of no cache
-    // unless --cache-fraction asks for one.
-    sem::sem_config scfg = sem::sem_config::from_options(topt, path);
     scfg.with_device(&dev);
-    if (topt.cache_fraction < 0.0) {
-      scfg.with_cache_fraction(temp_file.empty() ? 0.0 : 0.5);
-    }
     if (injector != nullptr) scfg.with_fault_injector(injector.get());
     // The recorder is what carries io.retries/io.gave_up into the report
     // and the console summary, so injected runs always attach it.
@@ -512,7 +510,8 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       s.set("ssd", bench::to_json(c));
       json_value bj = json_value::object();
       bj.set("name", std::string(g->backend().name()));
-      bj.set("batch", static_cast<std::uint64_t>(topt.io_batch));
+      bj.set("batch",
+             static_cast<std::uint64_t>(g->backend_config().batch));
       bj.set("requests", bc.requests);
       bj.set("batches", bc.batches);
       bj.set("bytes_issued", bc.bytes_issued);
@@ -1067,6 +1066,7 @@ int cmd_update(const options& opt) {
 
   int rc;
   if (sem_mode) {
+    sem::sem_config scfg = sem::sem_config::from_flags(opt, path);
     const auto params = sem::device_preset_by_name(
         opt.get_string("device", "intel"), opt.get_double("time-scale", 1.0));
     sem::ssd_model dev(params);
@@ -1083,7 +1083,6 @@ int cmd_update(const options& opt) {
         return 2;
       }
     }
-    sem::sem_config scfg = sem::sem_config::from_options(topt, path);
     scfg.with_device(&dev);
     if (injector != nullptr) scfg.with_fault_injector(injector.get());
     // Deletes repair through in-edges; adopt the on-disk reverse when the
@@ -1119,9 +1118,13 @@ int cmd_stats(const options& opt) {
     // Overload-safety knobs (docs/service_api.md): admission policy, a
     // pending-job bound, a memory budget, plus the per-job deadline /
     // stall-grace / priority already carried by `base` via from_flags.
+    // The lifecycle percentiles below read the registry's
+    // service.job.*_us histograms, so every job records into one.
+    traversal_options defaults = base;
+    if (defaults.metrics == nullptr) defaults.metrics = &rep.metrics();
     engine::config ecfg;
     ecfg.pool_threads = base.queue.num_threads * jobs;
-    ecfg.defaults = base;
+    ecfg.defaults = defaults;
     ecfg.max_pending_jobs =
         static_cast<std::size_t>(opt.get_int("max-pending", 0));
     const std::string admission = opt.get_string("admission", "block");
@@ -1142,7 +1145,7 @@ int cmd_stats(const options& opt) {
     for (std::size_t j = 0; j < jobs; ++j) {
       const auto s = static_cast<vertex32>(
           (start + j) % std::max<std::uint64_t>(g.num_vertices(), 1));
-      traversal_options jopt = base;
+      traversal_options jopt = defaults;
       // Under a budget every job declares its share so the guardrail has
       // something to count (docs/service_api.md: estimates are
       // caller-declared).
@@ -1215,14 +1218,12 @@ int cmd_stats(const options& opt) {
     }
     std::printf("%s\n", table.render().c_str());
 
-    const auto lc = eng.lifecycle();
-    const auto buckets = [](const log2_histogram& h) {
-      std::vector<std::uint64_t> b(h.num_buckets());
-      for (std::size_t i = 0; i < b.size(); ++i) b[i] = h.bucket_count(i);
-      return b;
-    };
-    const auto put = [&](const char* name, const log2_histogram& h) {
-      const auto p = telemetry::percentiles_from_log2(buckets(h));
+    const auto put = [&](const char* name) {
+      const telemetry::histogram& h =
+          defaults.metrics->get_histogram(std::string("service.job.") + name);
+      const auto p = telemetry::percentiles_in_range(
+          h.buckets(), static_cast<double>(h.min()),
+          static_cast<double>(h.max()));
       std::printf("%-14s p50 %.0fus  p95 %.0fus  p99 %.0fus  (%llu jobs)\n",
                   name, p.p50, p.p95, p.p99,
                   static_cast<unsigned long long>(h.total()));
@@ -1234,9 +1235,9 @@ int cmd_stats(const options& opt) {
         rep.section("lifecycle").set(name, std::move(v));
       }
     };
-    put("queue_wait_us", lc.queue_wait_us);
-    put("run_us", lc.run_us);
-    put("total_us", lc.total_us);
+    put("queue_wait_us");
+    put("run_us");
+    put("total_us");
     const auto sc = eng.counters();
     std::printf("service: %llu submitted = %llu completed + %llu failed + "
                 "%llu cancelled + %llu deadline_exceeded + %llu stalled + "
